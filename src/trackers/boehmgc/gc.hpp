@@ -11,11 +11,11 @@
 #pragma once
 
 #include <functional>
+#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
-#include "base/flat_gva_set.hpp"
 #include "base/types.hpp"
 #include "base/vtime.hpp"
 #include "ooh/tracker.hpp"
@@ -95,16 +95,21 @@ class GcHeap {
   [[nodiscard]] u64 live_objects() const noexcept { return objects_.size(); }
   [[nodiscard]] u64 live_bytes() const noexcept { return live_bytes_; }
   [[nodiscard]] u64 heap_used_bytes() const noexcept { return bump_ - heap_base_; }
-  [[nodiscard]] bool is_object(Gva obj) const { return objects_.contains(obj); }
+  [[nodiscard]] bool is_object(Gva obj) const noexcept;
+  /// Host bytes held by the dense metadata tables. They cover the used
+  /// extent (heap_used_bytes()), never the whole reservation.
+  [[nodiscard]] u64 metadata_bytes() const noexcept;
   [[nodiscard]] guest::Process& process() noexcept { return proc_; }
 
  private:
-  struct Object {
-    u64 size = 0;  ///< header + slots + payload, in bytes.
-    std::vector<Gva> refs;
-  };
-
-  [[nodiscard]] Object& obj(Gva addr);
+  /// The host copy of the record word at guest address `addr`.
+  [[nodiscard]] u64& word(Gva addr) noexcept;
+  /// Throws std::invalid_argument unless a live object starts at `addr`.
+  void check_live(Gva addr) const;
+  [[nodiscard]] u64 granule(Gva addr) const noexcept;
+  [[nodiscard]] u64 page(Gva addr) const noexcept;
+  /// Grows the dense tables to cover [heap_base_, bump_).
+  void grow_tables();
   void maybe_collect();
   [[nodiscard]] std::vector<Gva> acquire_dirty_pages(GcCycleStats& st);
 
@@ -120,22 +125,34 @@ class GcHeap {
   u64 allocated_since_gc_ = 0;
   u64 live_bytes_ = 0;
 
-  // objects_ iteration order is load-bearing: the sweep walks it to build
-  // the free list, so it feeds future allocation addresses (and through them
-  // the guest access stream). Do not swap the container or pre-reserve it —
-  // either changes iteration order and breaks bit-identical virtual time.
-  std::unordered_map<Gva, Object> objects_;
+  // objects_ (the live object starts) is the one container whose iteration
+  // order reaches an output: the sweep walks it to build the free lists, so
+  // it feeds future allocation addresses and through them the guest access
+  // stream. The order is libstdc++'s bucket order for this key, hash and
+  // insert/erase sequence. Never reserve() it: a different bucket count
+  // reorders the walk and changes virtual time (the figure goldens in
+  // tests/goldens catch it). Giving the sweep an explicit order is a
+  // deliberate output change that swaps this one container.
+  std::unordered_set<Gva> objects_;
   std::unordered_set<Gva> roots_;
   std::vector<Gva> locals_;  ///< stack-scan stand-in (see Local).
   std::unordered_map<u64, std::vector<Gva>> free_lists_;  ///< size -> free blocks.
-  std::unordered_map<u64, std::unordered_set<Gva>> page_objects_;  ///< page -> objects.
 
-  // Per-cycle mark/sweep scratch, reused so steady-state cycles allocate
-  // nothing. Only membership and counts are read from these — never
-  // iteration order — so they are free to use any layout.
-  FlatGvaSet reachable_;
-  std::vector<Gva> frontier_;  ///< FIFO: drained via a head cursor.
-  std::vector<Gva> to_free_;
+  // Dense metadata addressed by heap offset; the bump allocator keeps it
+  // compact. Sized to the used extent and grown with bump_, never to the
+  // reservation. Nothing walks them in an order that reaches an output.
+  //
+  // records_ holds, per 64 KiB of heap, a host copy of the record words that
+  // land there, at their guest offsets: each object's size, ref count and
+  // ref slots. Payload words are never read, so a chunk holding only
+  // payload is never allocated and a large array costs one chunk, not its
+  // size. 64 KiB keeps the chunk table small enough to stay cached while
+  // marking: per-page chunks made fig5 --full 40% slower.
+  std::vector<std::unique_ptr<u64[]>> records_;
+  std::vector<u32> page_objects_;  ///< per heap page: live objects overlapping it.
+  std::vector<u64> live_;          ///< bit per 16 B granule: an object starts here.
+  std::vector<u64> marked_;        ///< bit per granule: reached by this cycle's mark.
+  std::vector<Gva> frontier_;      ///< mark FIFO, drained via a head cursor.
 
   GcStats stats_;
   bool first_cycle_done_ = false;

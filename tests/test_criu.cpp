@@ -7,6 +7,7 @@
 #include "base/rng.hpp"
 #include "ooh/testbed.hpp"
 #include "trackers/criu/checkpoint.hpp"
+#include "technique_label.hpp"
 
 namespace ooh::criu {
 namespace {
@@ -16,17 +17,7 @@ using lib::Technique;
 constexpr Technique kAll[] = {Technique::kProc, Technique::kUfd, Technique::kSpml,
                               Technique::kEpml, Technique::kWp, Technique::kOracle};
 
-std::string tech_label(Technique t) {
-  switch (t) {
-    case Technique::kProc: return "proc";
-    case Technique::kUfd: return "ufd";
-    case Technique::kSpml: return "spml";
-    case Technique::kEpml: return "epml";
-    case Technique::kWp: return "wp";
-    case Technique::kOracle: return "oracle";
-  }
-  return "?";
-}
+using test::technique_label;
 
 /// A workload that writes a derministic pattern the restore test can verify.
 lib::WorkloadFn pattern_writer(Gva base, u64 pages, u64 seed) {
@@ -69,13 +60,13 @@ TEST_P(CriuRoundTrip, RestoredMemoryEqualsOriginal) {
   for (u64 i = 0; i < pages; ++i) {
     const Gva page = base + i * kPageSize;
     EXPECT_EQ(read_page(proc, page), read_page(restored, page))
-        << tech_label(GetParam()) << ": page " << i
+        << technique_label(GetParam()) << ": page " << i
         << " stale in image (tracker missed the re-write)";
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllTechniques, CriuRoundTrip, ::testing::ValuesIn(kAll),
-                         [](const auto& pinfo) { return tech_label(pinfo.param); });
+                         [](const auto& pinfo) { return technique_label(pinfo.param); });
 
 class CriuPrecopy : public ::testing::TestWithParam<Technique> {};
 
@@ -107,7 +98,7 @@ TEST_P(CriuPrecopy, IncrementalRoundsStillYieldCorrectImage) {
 INSTANTIATE_TEST_SUITE_P(AllTechniques, CriuPrecopy,
                          ::testing::Values(Technique::kProc, Technique::kEpml,
                                            Technique::kSpml),
-                         [](const auto& pinfo) { return tech_label(pinfo.param); });
+                         [](const auto& pinfo) { return technique_label(pinfo.param); });
 
 TEST(Criu, FullCheckpointCapturesAllPresentPages) {
   lib::TestBed bed;

@@ -14,6 +14,7 @@
 #include "ooh/tracker.hpp"
 #include "sim/check/coherence.hpp"
 #include "sim/machine.hpp"
+#include "technique_label.hpp"
 
 namespace ooh {
 namespace {
@@ -77,15 +78,7 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, FrameLifecycleTest,
                                            lib::Technique::kWp,
                                            lib::Technique::kOracle),
                          [](const auto& param_info) {
-                           switch (param_info.param) {
-                             case lib::Technique::kProc: return "proc";
-                             case lib::Technique::kUfd: return "ufd";
-                             case lib::Technique::kSpml: return "spml";
-                             case lib::Technique::kEpml: return "epml";
-                             case lib::Technique::kWp: return "wp";
-                             case lib::Technique::kOracle: return "oracle";
-                           }
-                           return "unknown";
+                           return test::technique_label(param_info.param);
                          });
 
 }  // namespace

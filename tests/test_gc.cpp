@@ -5,6 +5,7 @@
 
 #include "ooh/testbed.hpp"
 #include "trackers/boehmgc/gc.hpp"
+#include "technique_label.hpp"
 
 namespace ooh::gc {
 namespace {
@@ -121,6 +122,111 @@ TEST(GcHeap, WriteRefReadRefRoundTrip) {
   EXPECT_FALSE(h.is_object(b)) << "cleared ref makes b garbage";
 }
 
+// ---- dense metadata: index arithmetic over the heap offset ------------------
+
+TEST(GcHeap, NonObjectAddressesAreRejected) {
+  GcFixture f;
+  GcHeap& h = f.heap;
+  const Gva first = h.alloc(2, 32);  // the first block starts at the heap base
+  h.add_root(first);
+  const Gva freed = h.alloc(2, 32);
+  (void)h.collect();
+  ASSERT_TRUE(h.is_object(first));
+  const Gva bump = first + h.heap_used_bytes();
+  const Gva bad[] = {
+      first + 16,            // interior granule of a live object
+      first + 8, first + 1,  // misaligned
+      first - 16, 0,         // below the heap
+      bump, bump + kPageSize,  // at and past the bump pointer
+      freed,                 // swept by the last cycle
+  };
+  for (const Gva a : bad) {
+    SCOPED_TRACE(a - first);
+    EXPECT_FALSE(h.is_object(a));
+    EXPECT_THROW(h.write_ref(a, 0, 0), std::invalid_argument);
+    EXPECT_THROW(h.write_data(a, 0, 1), std::invalid_argument);
+    EXPECT_THROW(h.add_root(a), std::invalid_argument);
+    if (a != 0) {
+      EXPECT_THROW(h.write_ref(first, 0, a), std::invalid_argument);
+    }
+  }
+  EXPECT_EQ(h.live_objects(), 1u);
+}
+
+TEST(GcHeap, ReusedBlockReadsNullInEveryRefSlot) {
+  GcFixture f;
+  GcHeap& h = f.heap;
+  const Gva old = h.alloc(2, 0);
+  const Gva target = h.alloc(0, 0);
+  h.write_ref(old, 0, target);
+  h.write_ref(old, 1, target);
+  (void)h.collect();  // neither is rooted
+  ASSERT_FALSE(h.is_object(old));
+
+  const Gva same = h.alloc(2, 0);
+  const Gva target2 = h.alloc(0, 0);
+  ASSERT_EQ(same, old) << "the block comes back from the free list";
+  ASSERT_EQ(target2, target);
+  EXPECT_EQ(h.read_ref(same, 0), 0u);
+  EXPECT_EQ(h.read_ref(same, 1), 0u);
+  h.add_root(same);
+  (void)h.collect();
+  EXPECT_FALSE(h.is_object(target2)) << "a stale ref of the block's previous tenant was marked";
+
+  // Same block size, other layout: one ref slot and 8 payload bytes.
+  h.write_ref(same, 0, same);
+  h.write_ref(same, 1, same);
+  h.remove_root(same);
+  (void)h.collect();
+  const Gva other = h.alloc(1, 8);
+  ASSERT_EQ(other, old);
+  EXPECT_EQ(h.read_ref(other, 0), 0u);
+  EXPECT_THROW((void)h.read_ref(other, 1), std::out_of_range);
+  EXPECT_THROW(h.write_data(other, 8, 1), std::out_of_range);
+  EXPECT_NO_THROW(h.write_data(other, 0, 1));
+}
+
+TEST(GcHeap, FreedMultiPageObjectStopsCountingTowardRescans) {
+  GcFixture f;
+  GcHeap& h = f.heap;
+  guest::Scheduler& sched = f.kernel.scheduler();
+  sched.enter_process(f.proc.pid());
+  const Gva big = h.alloc(0, 3 * kPageSize - 16);  // exactly heap pages 0..2
+  ASSERT_EQ(big % kPageSize, 0u);
+  h.add_root(big);
+  h.add_root(h.alloc(0, 0));  // on page 3, never dirtied below
+  (void)h.collect();
+  const auto dirty_big = [&] {
+    for (u64 p = 0; p < 3; ++p) f.proc.write_u64(big + p * kPageSize + 64, p);
+  };
+  dirty_big();
+  EXPECT_EQ(h.collect().pages_rescanned, 3u);
+  h.remove_root(big);
+  dirty_big();
+  const GcCycleStats freeing = h.collect();
+  EXPECT_EQ(freeing.pages_rescanned, 3u) << "still live when this cycle marked";
+  EXPECT_EQ(freeing.objects_freed, 1u);
+  dirty_big();
+  EXPECT_EQ(h.collect().pages_rescanned, 0u) << "freed pages hold no live object";
+  sched.exit_process(f.proc.pid());
+}
+
+TEST(GcHeap, LargeReservationCostsMetadataOnlyForTheUsedExtent) {
+  lib::TestBed bed;
+  guest::GuestKernel& k = bed.kernel();
+  guest::Process& proc = k.create_process();
+  GcHeap h(k, proc, 4 * kGiB, 64 * kMiB);
+  h.add_root(h.alloc(2, 16));
+  for (int i = 0; i < 64; ++i) (void)h.alloc(1, 32);
+  (void)h.alloc(0, 64 * kMiB);  // payload words need no host copy
+  (void)h.collect();
+  EXPECT_EQ(h.live_objects(), 1u);
+  EXPECT_EQ(h.stats().cycles.back().objects_freed, 65u);
+  // Tables sized to the 4 GiB reservation would take 32 MiB per bitmap, and
+  // a host copy of every heap word 64 MiB for the payload alone.
+  EXPECT_LT(h.metadata_bytes(), 2 * kMiB);
+}
+
 class GcIncremental : public ::testing::TestWithParam<Technique> {};
 
 TEST_P(GcIncremental, LaterCyclesRescanOnlyDirtyPages) {
@@ -156,15 +262,7 @@ TEST_P(GcIncremental, LaterCyclesRescanOnlyDirtyPages) {
 INSTANTIATE_TEST_SUITE_P(Techniques, GcIncremental,
                          ::testing::Values(Technique::kProc, Technique::kSpml,
                                            Technique::kEpml, Technique::kOracle),
-                         [](const auto& pinfo) {
-                           switch (pinfo.param) {
-                             case Technique::kProc: return "proc";
-                             case Technique::kSpml: return "spml";
-                             case Technique::kEpml: return "epml";
-                             case Technique::kOracle: return "oracle";
-                             default: return "other";
-                           }
-                         });
+                         [](const auto& pinfo) { return test::technique_label(pinfo.param); });
 
 TEST(GcIncrementalCost, EpmlDirtyQueryCheaperThanProcAndSpml) {
   // Fig. 5's mechanism: the techniques differ in the cost of *finding* the

@@ -5,6 +5,7 @@
 #include "ooh/experiment.hpp"
 #include "ooh/testbed.hpp"
 #include "ooh/trackers.hpp"
+#include "technique_label.hpp"
 
 namespace ooh {
 namespace {
@@ -43,17 +44,7 @@ INSTANTIATE_TEST_SUITE_P(AllTechniques, SmokeTest,
                          ::testing::Values(lib::Technique::kProc, lib::Technique::kUfd,
                                            lib::Technique::kSpml, lib::Technique::kEpml,
                                            lib::Technique::kWp, lib::Technique::kOracle),
-                         [](const auto& pinfo) {
-                           switch (pinfo.param) {
-                             case lib::Technique::kProc: return "proc";
-                             case lib::Technique::kUfd: return "ufd";
-                             case lib::Technique::kSpml: return "spml";
-                             case lib::Technique::kEpml: return "epml";
-                             case lib::Technique::kWp: return "wp";
-                             case lib::Technique::kOracle: return "oracle";
-                           }
-                           return "unknown";
-                         });
+                         [](const auto& pinfo) { return test::technique_label(pinfo.param); });
 
 TEST(SmokeOrdering, EpmlTrackedOverheadBelowProcUfdAndSpml) {
   // Warmed memory + several collection intervals: the paper's steady-state

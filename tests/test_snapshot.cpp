@@ -18,6 +18,7 @@
 #include "ooh/trackers.hpp"
 #include "sim/check/invariant.hpp"
 #include "sim/snapshot/machine_image.hpp"
+#include "technique_label.hpp"
 
 namespace ooh::lib {
 namespace {
@@ -33,17 +34,7 @@ std::string gran_label(Gran g) {
   return "?";
 }
 
-std::string tech_label(Technique t) {
-  switch (t) {
-    case Technique::kProc: return "proc";
-    case Technique::kUfd: return "ufd";
-    case Technique::kSpml: return "spml";
-    case Technique::kEpml: return "epml";
-    case Technique::kWp: return "wp";
-    case Technique::kOracle: return "oracle";
-  }
-  return "?";
-}
+using test::technique_label;
 
 TestBedOptions bed_options(Gran g) {
   TestBedOptions opts;
@@ -101,7 +92,7 @@ TEST_P(SnapshotRoundTrip, RestoredStateStreamIsByteIdentical) {
   const snapshot::MachineSnapshot again = bed.save();
   ASSERT_EQ(snap.bytes.size(), again.bytes.size());
   EXPECT_TRUE(snap.bytes == again.bytes)
-      << tech_label(tech) << "/" << gran_label(gran)
+      << technique_label(tech) << "/" << gran_label(gran)
       << ": restored machine serialized differently";
 
   // SNAP-1 closes with the oracle's word, not just stream equality: the
@@ -128,7 +119,7 @@ TEST_P(SnapshotRoundTrip, RestoredMachineContinuesIdentically) {
   const std::vector<u8> second = bed.state_bytes();
 
   EXPECT_TRUE(first == second)
-      << tech_label(tech) << "/" << gran_label(gran)
+      << technique_label(tech) << "/" << gran_label(gran)
       << ": replay from restored boundary diverged";
 }
 
@@ -138,9 +129,9 @@ INSTANTIATE_TEST_SUITE_P(
                                          Technique::kSpml, Technique::kEpml,
                                          Technique::kWp),
                        ::testing::Values(Gran::k4k, Gran::k2m, Gran::k2mSplit)),
-    [](const ::testing::TestParamInfo<SnapshotRoundTrip::ParamType>& info) {
-      return tech_label(std::get<0>(info.param)) + "_" +
-             gran_label(std::get<1>(info.param));
+    [](const ::testing::TestParamInfo<SnapshotRoundTrip::ParamType>& param_info) {
+      return technique_label(std::get<0>(param_info.param)) + "_" +
+             gran_label(std::get<1>(param_info.param));
     });
 
 TEST(Snapshot, SaveRefusesNonQuiescentMachine) {

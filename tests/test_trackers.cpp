@@ -11,6 +11,7 @@
 #include "ooh/testbed.hpp"
 #include "guest/ooh_module.hpp"
 #include "ooh/trackers.hpp"
+#include "technique_label.hpp"
 
 namespace ooh::lib {
 namespace {
@@ -18,17 +19,7 @@ namespace {
 constexpr Technique kAll[] = {Technique::kProc, Technique::kUfd, Technique::kSpml,
                               Technique::kEpml, Technique::kWp, Technique::kOracle};
 
-std::string tech_label(Technique t) {
-  switch (t) {
-    case Technique::kProc: return "proc";
-    case Technique::kUfd: return "ufd";
-    case Technique::kSpml: return "spml";
-    case Technique::kEpml: return "epml";
-    case Technique::kWp: return "wp";
-    case Technique::kOracle: return "oracle";
-  }
-  return "?";
-}
+using test::technique_label;
 
 enum class Pattern { kSequential, kRandom, kHotCold, kSparse, kRewrites };
 
@@ -96,12 +87,12 @@ TEST_P(TrackerProperty, CompleteAndExact) {
 
   // Completeness: every truly dirtied page was reported.
   EXPECT_EQ(r.captured_truth, r.truth_pages)
-      << tech_label(tech) << " missed " << (r.truth_pages - r.captured_truth)
+      << technique_label(tech) << " missed " << (r.truth_pages - r.captured_truth)
       << " of " << r.truth_pages << " dirty pages";
   EXPECT_EQ(r.dropped, 0u);
   // Exactness: nothing reported that was not actually written.
   EXPECT_EQ(r.unique_pages, r.truth_pages)
-      << tech_label(tech) << " over-reported pages it should not have";
+      << technique_label(tech) << " over-reported pages it should not have";
   tracker->shutdown();
 }
 
@@ -112,7 +103,7 @@ INSTANTIATE_TEST_SUITE_P(
                                          Pattern::kHotCold, Pattern::kSparse,
                                          Pattern::kRewrites)),
     [](const auto& pinfo) {
-      return tech_label(std::get<0>(pinfo.param)) + std::string("_") +
+      return technique_label(std::get<0>(pinfo.param)) + std::string("_") +
              pattern_label(std::get<1>(pinfo.param));
     });
 
@@ -182,7 +173,7 @@ TEST_P(TrackerIntervalTest, IntervalsAreDisjointWindows) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllTechniques, TrackerIntervalTest, ::testing::ValuesIn(kAll),
-                         [](const auto& pinfo) { return tech_label(pinfo.param); });
+                         [](const auto& pinfo) { return technique_label(pinfo.param); });
 
 TEST(TrackerPhases, SpmlCollectIsDominatedByReverseMapping) {
   // Fig. 3: reverse mapping is the bottleneck of SPML collection.
