@@ -4,8 +4,10 @@
 #pragma once
 
 #include <chrono>
+#include <limits>
 
 #include "common.hpp"
+#include "sim/epoch/epoch_pool.hpp"
 #include "trackers/boehmgc/gc.hpp"
 #include "workloads/registry.hpp"
 
@@ -62,6 +64,12 @@ inline BoehmRun run_boehm(std::string_view app, wl::ConfigSize size, u64 scale,
                           lib::Technique tech) {
   lib::TestBed bed;
   return run_boehm_in(bed.kernel(), app, size, scale, tech);
+}
+
+/// The worker count the epoch pool auto-sizes to on this host (its
+/// hardware concurrency): the default fleet width of Figs. 10-11.
+inline unsigned host_workers() {
+  return epoch::EpochPool::workers_for(std::numeric_limits<std::size_t>::max(), {});
 }
 
 /// One scalability-study configuration (Figs. 10-11): `vms` tenant VMs each

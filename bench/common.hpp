@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <iostream>
 #include <memory>
 #include <optional>
@@ -96,63 +97,50 @@ struct MicroRun {
   lib::RunResult result;
 };
 
-/// Pass count calibrated so the monitoring window gives each page ~0.8us of
-/// Tracked work -- this puts the large-size overheads in the paper's range
-/// (ufd ~15x, /proc ~4x, SPML ~66x at 1GB).
-inline MicroRun run_micro(std::optional<lib::Technique> tech, u64 mem_bytes,
-                          int passes = 8) {
-  const u64 pages = pages_for_bytes(mem_bytes);
-  const auto work = [pages](Gva base) {
-    return [base, pages](guest::Process& p) {
+/// Write passes per microbench run, calibrated so the monitoring window gives
+/// each page ~0.8us of Tracked work -- this puts the large-size overheads in
+/// the paper's range (ufd ~15x, /proc ~4x, SPML ~66x at 1GB). micro_ideal and
+/// run_micro both use it, so an ideal always matches its tracked run.
+constexpr int kMicroPasses = 8;
+
+/// The microbench's kMicroPasses write passes over `pages` pages at `base`.
+inline std::function<void(guest::Process&)> micro_work(Gva base, u64 pages) {
+  return [base, pages](guest::Process& p) {
+    for (int pass = 0; pass < kMicroPasses; ++pass) {
       for (u64 i = 0; i < pages; ++i) p.write_u64(base + i * kPageSize, i);
-    };
+    }
   };
-  // Ideal first.
-  const lib::TestBedOptions opts = sized_bed_options(mem_bytes);
+}
 
-  MicroRun out;
-  VirtDuration ideal{0};
-  {
-    lib::TestBed bed(opts);
-    auto& k = bed.kernel();
-    const PreparedProcess pp = prepare_process(k, mem_bytes);
-    auto& proc = *pp.proc;
-    const Gva base = pp.base;
-    lib::RunOptions ro;
-    ro.collect_period = VirtDuration{0};
-    auto body = work(base);
-    int p = passes;
-    const lib::RunResult r = lib::run_tracked(
-        k, proc,
-        [&](guest::Process& pr) {
-          for (int i = 0; i < p; ++i) body(pr);
-        },
-        nullptr, ro);
-    ideal = r.tracked_time;
-    out.ideal_us = ideal.count();
-  }
-  if (!tech) {
-    out.tracked_us = out.ideal_us;
-    return out;
-  }
-
-  lib::TestBed bed(opts);
+/// The untracked ideal of the microbench at `mem_bytes`. It does not depend
+/// on the technique, so a sweep computes it once per size and hands it to
+/// every run_micro of that size.
+inline VirtDuration micro_ideal(u64 mem_bytes) {
+  lib::TestBed bed(sized_bed_options(mem_bytes));
   auto& k = bed.kernel();
   const PreparedProcess pp = prepare_process(k, mem_bytes);
-  auto& proc = *pp.proc;
-  const Gva base = pp.base;
-  auto tracker = lib::make_tracker(*tech, k, proc);
+  lib::RunOptions ro;
+  ro.collect_period = VirtDuration{0};
+  return lib::run_tracked(k, *pp.proc, micro_work(pp.base, pages_for_bytes(mem_bytes)),
+                          nullptr, ro)
+      .tracked_time;
+}
+
+/// The microbench at `mem_bytes` under `tech`, one collection at 3/4 of the
+/// `ideal` (micro_ideal of the same size) run time.
+inline MicroRun run_micro(lib::Technique tech, u64 mem_bytes, VirtDuration ideal) {
+  lib::TestBed bed(sized_bed_options(mem_bytes));
+  auto& k = bed.kernel();
+  const PreparedProcess pp = prepare_process(k, mem_bytes);
+  auto tracker = lib::make_tracker(tech, k, *pp.proc);
   lib::RunOptions ro;
   ro.collect_period = ideal * 0.75;
   ro.max_collections = 1;
-  auto body = work(base);
-  int p = passes;
-  out.result = lib::run_tracked(
-      k, proc,
-      [&](guest::Process& pr) {
-        for (int i = 0; i < p; ++i) body(pr);
-      },
-      tracker.get(), ro);
+  MicroRun out;
+  out.ideal_us = ideal.count();
+  out.result = lib::run_tracked(k, *pp.proc,
+                                micro_work(pp.base, pages_for_bytes(mem_bytes)),
+                                tracker.get(), ro);
   tracker->shutdown();
   out.tracked_us = out.result.tracked_time.count();
   out.tracker_us = out.result.tracker_time().count() - out.result.phases.init.count();

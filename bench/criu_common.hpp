@@ -1,5 +1,6 @@
-// Shared runner for the CRIU experiments (Figs. 7-9): checkpoint one
-// application while it runs, under the given technique.
+// Shared runners for the CRIU experiments (Figs. 7-9): checkpoint one
+// application while it runs, under the given technique, and the untracked
+// ideal run Fig. 9 compares against.
 #pragma once
 
 #include "common.hpp"
@@ -8,31 +9,24 @@
 
 namespace ooh::bench {
 
-struct CriuRun {
-  criu::CheckpointResult res;
-  double ideal_us = 0.0;  ///< application completion time, untracked.
-};
-
-inline CriuRun run_criu(std::string_view app, wl::ConfigSize size, u64 scale,
-                        lib::Technique tech) {
-  CriuRun out;
-  {
-    lib::TestBed bed;
-    auto& k = bed.kernel();
-    const WorkloadRun wr = prepare_workload(k, app, size, scale);
-    out.ideal_us =
-        lib::run_baseline(k, *wr.proc, wr.workload->runner()).tracked_time.count();
-  }
+inline criu::CheckpointResult run_criu(std::string_view app, wl::ConfigSize size,
+                                       u64 scale, lib::Technique tech) {
   lib::TestBed bed;
   auto& k = bed.kernel();
   const WorkloadRun wr = prepare_workload(k, app, size, scale);
-  auto& proc = *wr.proc;
-  auto& w = wr.workload;
   criu::Checkpointer cp(k, tech);
   criu::CheckpointOptions opts;
   opts.initial_full_copy = true;
-  out.res = cp.checkpoint_during(proc, w->runner(), opts);
-  return out;
+  return cp.checkpoint_during(*wr.proc, wr.workload->runner(), opts);
+}
+
+/// The application's untracked completion time (us). It does not depend on
+/// the technique, so Fig. 9 computes it once per application.
+inline double criu_ideal_us(std::string_view app, wl::ConfigSize size, u64 scale) {
+  lib::TestBed bed;
+  auto& k = bed.kernel();
+  const WorkloadRun wr = prepare_workload(k, app, size, scale);
+  return lib::run_baseline(k, *wr.proc, wr.workload->runner()).tracked_time.count();
 }
 
 /// Fig. 7-9 application set: Phoenix + tkrzw at Large configuration.

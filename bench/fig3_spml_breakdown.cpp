@@ -15,7 +15,8 @@ int main(int argc, char** argv) {
   TextTable t({"memory", "collect(ms)", "revmap(ms)", "ptwalk(ms)", "rbcopy(ms)",
                "revmap(%)"});
   for (const u64 mem : bench::memory_sweep(args.full)) {
-    const bench::MicroRun r = bench::run_micro(lib::Technique::kSpml, mem);
+    const bench::MicroRun r =
+        bench::run_micro(lib::Technique::kSpml, mem, bench::micro_ideal(mem));
     const CostModel cm = CostModel::paper_calibrated();
     const auto& ev = r.result.events;
     const double revmap =

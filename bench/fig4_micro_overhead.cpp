@@ -17,12 +17,14 @@ int main(int argc, char** argv) {
   for (const u64 s : sizes) header.push_back(bench::mem_label(s));
   TextTable t(header);
 
+  std::vector<VirtDuration> ideals;
+  for (const u64 mem : sizes) ideals.push_back(bench::micro_ideal(mem));
   for (const lib::Technique tech :
        {lib::Technique::kProc, lib::Technique::kUfd, lib::Technique::kSpml,
         lib::Technique::kEpml, lib::Technique::kOracle}) {
     std::vector<double> row;
-    for (const u64 mem : sizes) {
-      const bench::MicroRun r = bench::run_micro(tech, mem);
+    for (std::size_t i = 0; i < sizes.size(); ++i) {
+      const bench::MicroRun r = bench::run_micro(tech, sizes[i], ideals[i]);
       row.push_back(r.tracked_us / r.ideal_us);
     }
     t.add_row(std::string(lib::technique_name(tech)), row, 2);

@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
     std::vector<double> mw;
     for (const lib::Technique tech :
          {lib::Technique::kProc, lib::Technique::kSpml, lib::Technique::kEpml}) {
-      mw.push_back(bench::run_criu(app, size, args.scale, tech).res.phases.mw.count() / 1e3);
+      mw.push_back(bench::run_criu(app, size, args.scale, tech).phases.mw.count() / 1e3);
     }
     t.add_row(std::string(app), {mw[0], mw[1], mw[2], mw[0] / std::max(mw[2], 1e-9)}, 3);
   }

@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
   const auto apps = bench::criu_apps();
   constexpr lib::Technique kTechs[] = {lib::Technique::kProc, lib::Technique::kSpml,
                                        lib::Technique::kEpml};
-  const std::vector<bench::CriuRun> results = lib::run_cells<bench::CriuRun>(
+  const auto results = lib::run_cells<criu::CheckpointResult>(
       apps.size() * 3,
       [&](std::size_t i) {
         const auto& [app, size] = apps[i / 3];
@@ -45,10 +45,10 @@ int main(int argc, char** argv) {
               wl::tkrzw_apps().end();
     for (std::size_t ti = 0; ti < 3; ++ti) {
       const lib::Technique tech = kTechs[ti];
-      const bench::CriuRun& r = results[a * 3 + ti];
-      const double md = r.res.phases.md.count() / 1e3;
-      const double mw = r.res.phases.mw.count() / 1e3;
-      const double total = r.res.phases.checkpoint_total().count() / 1e3;
+      const criu::CheckpointResult& r = results[a * 3 + ti];
+      const double md = r.phases.md.count() / 1e3;
+      const double mw = r.phases.mw.count() / 1e3;
+      const double total = r.phases.checkpoint_total().count() / 1e3;
       t.add_row(std::string(app) + " " + std::string(lib::technique_name(tech)),
                 {md, mw, total}, 3);
       if (tech == lib::Technique::kProc) s.proc = total;

@@ -16,10 +16,11 @@ int main(int argc, char** argv) {
   int n = 0;
   for (const auto& [app, size] : bench::criu_apps()) {
     std::vector<double> row;
+    const double ideal_us = bench::criu_ideal_us(app, size, args.scale);
     for (const lib::Technique tech :
          {lib::Technique::kProc, lib::Technique::kSpml, lib::Technique::kEpml}) {
-      const bench::CriuRun r = bench::run_criu(app, size, args.scale, tech);
-      const double oh = (r.res.run.tracked_time.count() - r.ideal_us) / r.ideal_us * 100.0;
+      const criu::CheckpointResult r = bench::run_criu(app, size, args.scale, tech);
+      const double oh = (r.run.tracked_time.count() - ideal_us) / ideal_us * 100.0;
       row.push_back(oh);
       if (tech == lib::Technique::kEpml) {
         epml_max = std::max(epml_max, oh);

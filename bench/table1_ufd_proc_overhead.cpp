@@ -22,10 +22,12 @@ int main(int argc, char** argv) {
   header[0] = "On Tracker";
   TextTable tracker(header);
 
+  std::vector<VirtDuration> ideals;
+  for (const u64 mem : sizes) ideals.push_back(bench::micro_ideal(mem));
   for (const lib::Technique tech : {lib::Technique::kUfd, lib::Technique::kProc}) {
     std::vector<double> tked_row, tker_row;
-    for (const u64 mem : sizes) {
-      const bench::MicroRun r = bench::run_micro(tech, mem);
+    for (std::size_t i = 0; i < sizes.size(); ++i) {
+      const bench::MicroRun r = bench::run_micro(tech, sizes[i], ideals[i]);
       tked_row.push_back(overhead_pct(r.tracked_us, r.ideal_us));
       tker_row.push_back(r.tracker_us / r.ideal_us * 100.0);
     }

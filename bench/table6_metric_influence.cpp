@@ -28,9 +28,10 @@ int main(int argc, char** argv) {
   std::printf("\nMeasured event census (10MB microbench, one cycle):\n");
   TextTable ev({"event", "/proc", "ufd", "SPML", "EPML"});
   std::vector<EventCounters> runs;
+  const VirtDuration ideal = bench::micro_ideal(10 * kMiB);
   for (const lib::Technique tech : {lib::Technique::kProc, lib::Technique::kUfd,
                                     lib::Technique::kSpml, lib::Technique::kEpml}) {
-    runs.push_back(bench::run_micro(tech, 10 * kMiB).result.events);
+    runs.push_back(bench::run_micro(tech, 10 * kMiB, ideal).result.events);
   }
   const Event interesting[] = {
       Event::kPageFaultSoftDirty, Event::kPageFaultUffd, Event::kClearRefs,

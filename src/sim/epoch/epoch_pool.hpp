@@ -13,7 +13,7 @@
 // The cross-thread state (claim cursor, error slot) lives behind the
 // sync.hpp seam so instrumented builds let the SchedExplorer drive the
 // claim protocol through every interleaving (scenario
-// "snapshot_during_epochs" in sched_explorer.cpp).
+// "epoch_claim" in sched_explorer.cpp).
 #pragma once
 
 #include <cstddef>

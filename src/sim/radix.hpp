@@ -99,8 +99,7 @@ class RadixTable4 {
   }
 
   /// Drop every node and rewind the arena (blocks are kept warm for
-  /// reuse). The snapshot-restore path rebuilds tables through this instead
-  /// of destroying and reconstructing the owning object graph.
+  /// reuse).
   void clear() noexcept {
     root_ = L3{};
     leaf_count_ = 0;

@@ -1,6 +1,6 @@
-// The machine snapshot walk: one fixed serialization order over every
-// subsystem (see machine_image.hpp for the format contract and the epoch
-// boundary / quiescence rules).
+// The machine state walk: one fixed serialization order over every
+// subsystem (see machine_image.hpp for the fingerprint contract and the
+// quiescence rules).
 //
 // Determinism notes, per container kind:
 //   * unordered_map state (SPP masks, phys-mem shard maps) is emitted in
@@ -9,16 +9,15 @@
 //     segment tables, free lists) are emitted in their own order, which IS
 //     their semantic state;
 //   * derived caches (radix MRU walk caches, VMA/segment MRU memos, the
-//     TLB's heap layout beyond the live slots) are NOT serialized — restore
-//     resets them, and no virtual-time result can observe the difference;
+//     TLB's heap layout beyond the live slots) are NOT serialized — no
+//     virtual-time result can observe them;
 //   * VMCS kVmcsLinkPointer holds a raw host pointer and is canonicalized
-//     to shadow-VMCS *presence*; restore re-links to the restored bed's own
-//     shadow object.
+//     to shadow-VMCS *presence*.
 #include "sim/snapshot/machine_image.hpp"
 
 #include <algorithm>
 #include <cstddef>
-#include <memory>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -42,7 +41,6 @@
 #include "sim/page_table_entry.hpp"
 #include "sim/page_track.hpp"
 #include "sim/segment_table.hpp"
-#include "sim/snapshot/serializer.hpp"
 #include "sim/spp.hpp"
 #include "sim/tlb.hpp"
 #include "sim/vcpu.hpp"
@@ -51,6 +49,13 @@
 namespace ooh::snapshot {
 namespace {
 
+// The format is deliberately dumb: a magic + version header, then tagged
+// sections, then fixed-width little-endian scalars in a fixed order per
+// subsystem. Bitfield structs travel through explicit pack helpers, never a
+// memcpy of padding, so equal states give equal bytes.
+constexpr u32 kStreamMagic = 0x4F4F4853;  // "OOHS"
+constexpr u32 kStreamVersion = 1;
+
 // Section tags ("MACH", "PMEM", "CTX\0", "VM\0\0", "KERN").
 constexpr u32 kSecMachine = 0x4D414348;
 constexpr u32 kSecPmem = 0x504D454D;
@@ -58,12 +63,61 @@ constexpr u32 kSecCtx = 0x43545800;
 constexpr u32 kSecVm = 0x564D0000;
 constexpr u32 kSecKernel = 0x4B45524E;
 
-[[noreturn]] void busy(const std::string& what) {
-  throw std::logic_error("snapshot: machine not quiescent: " + what);
+class Writer {
+ public:
+  Writer() {
+    u32(kStreamMagic);
+    u32(kStreamVersion);
+  }
+
+  void u8(ooh::u8 v) { bytes_.push_back(v); }
+  void u32(ooh::u32 v) {
+    for (int i = 0; i < 4; ++i) bytes_.push_back(static_cast<ooh::u8>(v >> (8 * i)));
+  }
+  void u64(ooh::u64 v) {
+    for (int i = 0; i < 8; ++i) bytes_.push_back(static_cast<ooh::u8>(v >> (8 * i)));
+  }
+  void boolean(bool v) { u8(v ? 1 : 0); }
+  /// Doubles travel as their IEEE-754 bit pattern: bit-identity is the
+  /// contract (virtual time is a double), not approximate equality.
+  void f64(double v) {
+    ooh::u64 bits = 0;
+    std::memcpy(&bits, &v, sizeof bits);
+    u64(bits);
+  }
+
+  /// Open a tagged section; returns a token for end_section. Sections do
+  /// not nest (the machine image is a flat sequence of subsystems).
+  [[nodiscard]] std::size_t begin_section(ooh::u32 tag) {
+    u32(tag);
+    const std::size_t patch = bytes_.size();
+    u64(0);  // length placeholder, patched by end_section
+    return patch;
+  }
+  void end_section(std::size_t patch) {
+    const ooh::u64 len = bytes_.size() - (patch + 8);
+    for (int i = 0; i < 8; ++i) bytes_[patch + i] = static_cast<ooh::u8>(len >> (8 * i));
+  }
+
+  [[nodiscard]] std::vector<ooh::u8> take() && noexcept { return std::move(bytes_); }
+
+ private:
+  std::vector<ooh::u8> bytes_;
+};
+
+/// FNV-1a over a frame's bytes — the content witness the stream carries in
+/// place of the contents themselves.
+[[nodiscard]] u64 fnv1a(const ooh::u8* data, std::size_t n) noexcept {
+  u64 h = 0xcbf29ce484222325ULL;
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= data[i];
+    h *= 0x100000001b3ULL;
+  }
+  return h;
 }
 
-[[noreturn]] void mismatch(const std::string& what) {
-  throw std::runtime_error("snapshot: restore target mismatch: " + what);
+[[noreturn]] void busy(const std::string& what) {
+  throw std::logic_error("snapshot: machine not quiescent: " + what);
 }
 
 [[nodiscard]] u8 pack_pte_flags(const sim::Pte& e) noexcept {
@@ -73,28 +127,10 @@ constexpr u32 kSecKernel = 0x4B45524E;
                          (e.uffd_wp ? 64u : 0u));
 }
 
-void unpack_pte_flags(sim::Pte& e, u8 bits) noexcept {
-  e.present = (bits & 1u) != 0;
-  e.writable = (bits & 2u) != 0;
-  e.user = (bits & 4u) != 0;
-  e.accessed = (bits & 8u) != 0;
-  e.dirty = (bits & 16u) != 0;
-  e.soft_dirty = (bits & 32u) != 0;
-  e.uffd_wp = (bits & 64u) != 0;
-}
-
 [[nodiscard]] u8 pack_ept_flags(const sim::EptEntry& e) noexcept {
   return static_cast<u8>((e.present ? 1u : 0u) | (e.writable ? 2u : 0u) |
                          (e.accessed ? 4u : 0u) | (e.dirty ? 8u : 0u) |
                          (e.spp ? 16u : 0u));
-}
-
-void unpack_ept_flags(sim::EptEntry& e, u8 bits) noexcept {
-  e.present = (bits & 1u) != 0;
-  e.writable = (bits & 2u) != 0;
-  e.accessed = (bits & 4u) != 0;
-  e.dirty = (bits & 8u) != 0;
-  e.spp = (bits & 16u) != 0;
 }
 
 [[nodiscard]] u8 pack_field_set(const sim::VmcsFieldSet& s) noexcept {
@@ -105,26 +141,14 @@ void unpack_ept_flags(sim::EptEntry& e, u8 bits) noexcept {
   return bits;
 }
 
-void unpack_field_set(sim::VmcsFieldSet& s, u8 bits) noexcept {
-  for (std::size_t i = 0; i < static_cast<std::size_t>(sim::VmcsField::kCount); ++i) {
-    const auto f = static_cast<sim::VmcsField>(i);
-    if ((bits >> i) & 1u) {
-      s.add(f);
-    } else {
-      s.remove(f);
-    }
-  }
-}
-
 }  // namespace
 
 // All per-subsystem walkers live on a nested type so they share Access's
 // friendship with every serializable class while staying out of the header.
 struct Access::Impl {
-  // ---- physical memory (allocator state + CoW frame capture) ---------------
+  // ---- physical memory (allocator state + frame digests) -------------------
 
-  static void save_pmem(Writer& w, sim::PhysicalMemory& pm,
-                        std::vector<sim::PhysicalMemory::FrameImage>& frames_out) {
+  static void save_pmem(Writer& w, sim::PhysicalMemory& pm) {
     const auto sec = w.begin_section(kSecPmem);
     w.u64(pm.total_frames_);
     // relaxed-ok: quiescent by contract — no concurrent allocator users.
@@ -137,45 +161,13 @@ struct Access::Impl {
       w.u64(s.free_list.size());
       for (const u64 fn : s.free_list) w.u64(fn);
     }
-    frames_out = pm.capture_frames();
-    w.u64(frames_out.size());
-    for (const auto& [fn, frame] : frames_out) {
+    const std::vector<u64> backed = pm.backed_frame_table();
+    w.u64(backed.size());
+    for (const u64 fn : backed) {
       w.u64(fn);
-      w.u64(fnv1a(frame->data(), frame->size()));
+      w.u64(fnv1a(pm.frame_data_if_present(fn << kPageShift), kPageSize));
     }
     w.end_section(sec);
-  }
-
-  static void restore_pmem(Reader& r, const MachineSnapshot& snap,
-                           sim::PhysicalMemory& pm) {
-    r.expect_section(kSecPmem);
-    if (r.u64() != pm.total_frames_) mismatch("host memory size");
-    // relaxed-ok: quiescent by contract, see save_pmem.
-    pm.next_frame_.store(r.u64(), std::memory_order_relaxed);
-    // relaxed-ok: quiescent by contract, as above.
-    pm.used_frames_.store(r.u64(), std::memory_order_relaxed);
-    // relaxed-ok: quiescent by contract, as above. The rotor restore is what
-    // makes a replayed epoch allocate the same HPA sequence the recording
-    // did (the serialized EPT contains HPAs, so seams are byte-compared).
-    pm.alloc_rotor_.store(r.u64(), std::memory_order_relaxed);
-    for (auto& s : pm.shards_) {
-      s.data.clear();
-      s.free_list.clear();
-      const u64 n = r.u64();
-      s.free_list.reserve(n);
-      for (u64 i = 0; i < n; ++i) s.free_list.push_back(r.u64());
-    }
-    const u64 nframes = r.u64();
-    if (nframes != snap.frames.size()) mismatch("captured frame count");
-    for (const auto& [fn, frame] : snap.frames) {
-      if (r.u64() != fn) mismatch("captured frame order");
-      r.u64();  // content digest: a witness for stream comparison, not re-checked
-                // here — the installed contents ARE the captured (immutable) image.
-      // Installing the shared image leaves use_count > 1: the frame is
-      // shared-read-only (FRAME-4) and the first write clones it.
-      pm.shard_of(fn).data[fn] =
-          std::const_pointer_cast<sim::PhysicalMemory::Frame>(frame);
-    }
   }
 
   // ---- per-vCPU execution context (clock, counters, TLB) --------------------
@@ -198,31 +190,6 @@ struct Access::Impl {
     }
   }
 
-  static void restore_tlb(Reader& r, sim::Tlb& t) {
-    if (r.u64() != t.capacity_) mismatch("TLB capacity");
-    const u64 size = r.u64();
-    t.huge_entries_ = static_cast<std::size_t>(r.u64());
-    t.generation_ = r.u64();
-    t.rand_state_ = r.u64();
-    t.size_ = static_cast<std::size_t>(size);
-    std::fill(t.index_.begin(), t.index_.end(), sim::Tlb::kEmptyBucket);
-    for (std::size_t i = 0; i < t.size_; ++i) {
-      auto& s = t.slots_[i];
-      s.pid = r.u32();
-      s.bucket = r.u32();
-      s.gva_page = r.u64();
-      s.entry.gpa_page = r.u64();
-      s.entry.hpa_page = r.u64();
-      const u8 flags = r.u8();
-      s.entry.writable = (flags & 1u) != 0;
-      s.entry.dirty = (flags & 2u) != 0;
-      s.entry.gran = static_cast<PageGran>(r.u8());
-      // Slots record their index_ bucket (kept in lockstep by the Tlb), so
-      // the probe structure rebuilds exactly without re-hashing.
-      t.index_[s.bucket] = static_cast<u32>(i) + 1;
-    }
-  }
-
   static void save_ctx(Writer& w, sim::ExecContext& ctx) {
     const auto sec = w.begin_section(kSecCtx);
     if (!ctx.clock.open_buckets_.empty()) busy("open clock attribution scope");
@@ -232,17 +199,6 @@ struct Access::Impl {
     }
     save_tlb(w, ctx.tlb);
     w.end_section(sec);
-  }
-
-  static void restore_ctx(Reader& r, sim::ExecContext& ctx) {
-    r.expect_section(kSecCtx);
-    if (!ctx.clock.open_buckets_.empty()) busy("open clock attribution scope");
-    ctx.clock.now_ = VirtDuration{r.f64()};
-    ctx.counters.reset();
-    for (std::size_t i = 0; i < kEventCount; ++i) {
-      ctx.counters.add(static_cast<Event>(i), r.u64());
-    }
-    restore_tlb(r, ctx.tlb);
   }
 
   // ---- EPT / SPP ------------------------------------------------------------
@@ -263,25 +219,6 @@ struct Access::Impl {
     }
   }
 
-  static void restore_ept(Reader& r, sim::Ept& ept) {
-    ept.table_.clear();
-    ept.present_pages_ = r.u64();
-    ept.huge_present_ = r.u64();
-    const u64 n = r.u64();
-    for (u64 i = 0; i < n; ++i) {
-      const u64 addr = r.u64();
-      sim::EptEntry e;
-      e.hpa_page = r.u64();
-      unpack_ept_flags(e, r.u8());
-      const auto g = static_cast<PageGran>(r.u8());
-      if (g == PageGran::k4K) {
-        ept.table_.ensure(addr) = e;
-      } else {
-        ept.table_.ensure_huge(addr, g) = e;
-      }
-    }
-  }
-
   static void save_spp(Writer& w, sim::SppTable& spp) {
     std::vector<std::pair<Gpa, u32>> masks(spp.masks_.begin(), spp.masks_.end());
     std::sort(masks.begin(), masks.end());
@@ -289,15 +226,6 @@ struct Access::Impl {
     for (const auto& [gpa, mask] : masks) {
       w.u64(gpa);
       w.u32(mask);
-    }
-  }
-
-  static void restore_spp(Reader& r, sim::SppTable& spp) {
-    spp.masks_.clear();
-    const u64 n = r.u64();
-    for (u64 i = 0; i < n; ++i) {
-      const Gpa gpa = r.u64();
-      spp.masks_[gpa] = r.u32();
     }
   }
 
@@ -320,20 +248,6 @@ struct Access::Impl {
     }
   }
 
-  static void restore_registry(Reader& r, sim::WriteTrackRegistry& reg) {
-    if (!reg.chain(sim::TrackLayer::kPmlDrain).empty()) busy("active PML session");
-    if (!reg.flush_chain_.empty()) busy("registered flush notifiers");
-    for (std::size_t l = 0; l < sim::kTrackLayerCount; ++l) {
-      auto& chain = reg.chains_[l];
-      if (r.u32() != chain.regs.size()) mismatch("notifier chain length");
-      chain.dispatched = r.u64();
-      for (auto& entry : chain.regs) {
-        entry.enabled = r.boolean();
-        entry.delivered = r.u64();
-      }
-    }
-  }
-
   // ---- rings ---------------------------------------------------------------
 
   static void save_dirty_ring(Writer& w, const hv::DirtyRing& ring) {
@@ -347,21 +261,6 @@ struct Access::Impl {
     for (const u64 v : ring.spill_) w.u64(v);
   }
 
-  static void restore_dirty_ring(Reader& r, hv::DirtyRing& ring) {
-    if (r.u64() != ring.capacity_) mismatch("dirty-ring capacity");
-    const u64 head = r.u64();
-    const u64 tail = r.u64();
-    // relaxed-ok: quiescent by contract — no producer or consumer in flight.
-    ring.head_.store(head, std::memory_order_relaxed);
-    // relaxed-ok: quiescent by contract, as above.
-    ring.tail_.store(tail, std::memory_order_relaxed);
-    for (u64 i = head; i != tail; ++i) ring.slots_[i & ring.mask_] = r.u64();
-    ring.spill_.clear();
-    const u64 nspill = r.u64();
-    ring.spill_.reserve(nspill);
-    for (u64 i = 0; i < nspill; ++i) ring.spill_.push_back(r.u64());
-  }
-
   static void save_ring_buffer(Writer& w, const RingBuffer& rb) {
     w.u64(rb.buf_.size());
     w.u64(rb.head_);
@@ -372,26 +271,9 @@ struct Access::Impl {
     }
   }
 
-  static void restore_ring_buffer(Reader& r, RingBuffer& rb) {
-    if (r.u64() != rb.buf_.size()) mismatch("ring-buffer capacity");
-    rb.head_ = static_cast<std::size_t>(r.u64());
-    rb.size_ = static_cast<std::size_t>(r.u64());
-    rb.dropped_ = r.u64();
-    for (std::size_t i = 0; i < rb.size_; ++i) {
-      rb.buf_[(rb.head_ + i) % rb.buf_.size()] = r.u64();
-    }
-  }
-
   static void save_u64_vec(Writer& w, const std::vector<u64>& v) {
     w.u64(v.size());
     for (const u64 x : v) w.u64(x);
-  }
-
-  static void restore_u64_vec(Reader& r, std::vector<u64>& v) {
-    v.clear();
-    const u64 n = r.u64();
-    v.reserve(n);
-    for (u64 i = 0; i < n; ++i) v.push_back(r.u64());
   }
 
   // ---- per-vCPU hypervisor session state ------------------------------------
@@ -422,35 +304,6 @@ struct Access::Impl {
     w.boolean(cs.ring_fault_pending);
   }
 
-  static void restore_cpu(Reader& r, hv::Vm::CpuState& cs) {
-    sim::Vcpu& v = *cs.vcpu;
-    v.mode_ = static_cast<sim::CpuMode>(r.u8());
-    // Shadow presence first: create/destroy touch the link pointer and the
-    // shadowing control, which the verbatim field writes below then restore.
-    const bool want_shadow = r.boolean();
-    if (want_shadow && v.shadow_ == nullptr) v.create_shadow_vmcs();
-    if (!want_shadow && v.shadow_ != nullptr) v.destroy_shadow_vmcs();
-    for (std::size_t f = 0; f < static_cast<std::size_t>(sim::VmcsField::kCount); ++f) {
-      if (static_cast<sim::VmcsField>(f) == sim::VmcsField::kVmcsLinkPointer) continue;
-      v.vmcs_.write(static_cast<sim::VmcsField>(f), r.u64());
-    }
-    if (want_shadow) {
-      for (std::size_t f = 0; f < static_cast<std::size_t>(sim::VmcsField::kCount); ++f) {
-        v.shadow_->write(static_cast<sim::VmcsField>(f), r.u64());
-      }
-    }
-    unpack_field_set(v.shadow_readable_, r.u8());
-    unpack_field_set(v.shadow_writable_, r.u8());
-    restore_registry(r, v.track_);
-    restore_dirty_ring(r, cs.dirty_ring);
-    restore_ring_buffer(r, cs.spml_ring);
-    restore_u64_vec(r, cs.spml_interval_log);
-    restore_u64_vec(r, cs.drained_log);
-    cs.pml_buffer = r.u64();
-    cs.spml_tracked_mem_bytes = r.u64();
-    cs.ring_fault_pending = r.boolean();
-  }
-
   // ---- one VM ---------------------------------------------------------------
 
   static void save_vm(Writer& w, hv::Vm& vm) {
@@ -465,19 +318,6 @@ struct Access::Impl {
     w.u32(static_cast<u32>(vm.cpus_.size()));
     for (auto& cs : vm.cpus_) save_cpu(w, *cs);
     w.end_section(sec);
-  }
-
-  static void restore_vm(Reader& r, hv::Vm& vm) {
-    r.expect_section(kSecVm);
-    if (r.u32() != vm.id_) mismatch("VM id");
-    if (r.u64() != vm.mem_bytes_) mismatch("VM memory size");
-    vm.ept_huge_ = r.boolean();
-    vm.eager_split_ = r.boolean();
-    vm.eager_split_active_ = r.boolean();
-    restore_ept(r, vm.ept_);
-    restore_spp(r, vm.spp_table_);
-    if (r.u32() != vm.cpus_.size()) mismatch("vCPU count");
-    for (auto& cs : vm.cpus_) restore_cpu(r, *cs);
   }
 
   // ---- guest page tables ----------------------------------------------------
@@ -511,46 +351,6 @@ struct Access::Impl {
     }
   }
 
-  static void restore_gpt(Reader& r, sim::GuestPageTable& pt) {
-    const auto backend = static_cast<sim::TranslationBackend>(r.u8());
-    pt.table_.clear();
-    pt.backend_ = backend;
-    if (backend == sim::TranslationBackend::kSegment) {
-      pt.present_pages_ = 0;
-      pt.segs_ = std::make_unique<sim::SegmentTable>();
-      sim::SegmentTable& st = *pt.segs_;
-      st.present_pages_ = r.u64();
-      const u64 n = r.u64();
-      st.segs_.reserve(n);
-      for (u64 i = 0; i < n; ++i) {
-        sim::Segment s;
-        s.gva_base = r.u64();
-        s.gpa_base = r.u64();
-        s.pages = r.u64();
-        s.pte.gpa_page = r.u64();
-        unpack_pte_flags(s.pte, r.u8());
-        st.segs_.push_back(s);
-      }
-      st.mru_ = 0;
-      return;
-    }
-    pt.segs_.reset();
-    pt.present_pages_ = r.u64();
-    const u64 n = r.u64();
-    for (u64 i = 0; i < n; ++i) {
-      const u64 addr = r.u64();
-      sim::Pte e;
-      e.gpa_page = r.u64();
-      unpack_pte_flags(e, r.u8());
-      const auto g = static_cast<PageGran>(r.u8());
-      if (g == PageGran::k4K) {
-        pt.table_.ensure(addr) = e;
-      } else {
-        pt.table_.ensure_huge(addr, g) = e;
-      }
-    }
-  }
-
   // ---- guest processes ------------------------------------------------------
 
   static void save_process(Writer& w, guest::Process& p, sim::GuestPageTable& pt) {
@@ -574,43 +374,6 @@ struct Access::Impl {
       w.u64(item.second);
     }
     save_gpt(w, pt);
-  }
-
-  static void restore_process(Reader& r, guest::GuestKernel& k) {
-    const u32 pid = r.u32();
-    guest::GuestKernel::ProcEntry entry;
-    entry.proc = std::make_unique<guest::Process>(k, pid);
-    entry.pt = std::make_unique<sim::GuestPageTable>();
-    guest::Process& p = *entry.proc;
-    p.cpu_ = r.u32();
-    p.cpu_mask_ = r.u64();
-    p.next_mmap_ = r.u64();
-    p.mapped_bytes_ = r.u64();
-    p.truth_seq_ = r.u64();
-    const u64 nvma = r.u64();
-    p.vmas_.reserve(nvma);
-    for (u64 i = 0; i < nvma; ++i) {
-      guest::Vma v;
-      v.start = r.u64();
-      v.end = r.u64();
-      v.writable = r.boolean();
-      v.data_backed = r.boolean();
-      v.uffd = static_cast<guest::Vma::Uffd>(r.u8());
-      p.vmas_.push_back(v);
-    }
-    p.vma_mru_ = 0;
-    const u64 ntruth = r.u64();
-    for (u64 i = 0; i < ntruth; ++i) {
-      // Re-inserting in stored (= insertion) order reproduces the ledger's
-      // iteration order exactly; FlatPageMap's growth is deterministic in
-      // the insertion sequence.
-      const Gva page = r.u64();
-      const u64 seq = r.u64();
-      p.truth_.insert_or_assign(page, seq);
-    }
-    restore_gpt(r, *entry.pt);
-    p.pt_ = entry.pt.get();
-    k.procs_.push_back(std::move(entry));
   }
 
   // ---- one guest kernel -----------------------------------------------------
@@ -651,33 +414,11 @@ struct Access::Impl {
     w.end_section(sec);
   }
 
-  static void restore_kernel(Reader& r, guest::GuestKernel& k) {
-    r.expect_section(kSecKernel);
-    check_kernel_quiescent(k);
-    if (r.u32() != k.vm_.id()) mismatch("kernel/VM pairing");
-    k.next_pid_ = r.u32();
-    k.next_place_cpu_ = r.u32();
-    k.next_gpa_frame_ = r.u64();
-    k.spp_violations_ = r.u64();
-    restore_u64_vec(r, k.gpa_free_list_);
-    if (r.u32() != k.scheds_.size()) mismatch("scheduler count");
-    for (const auto& s : k.scheds_) {
-      s->quantum_ = VirtDuration{r.f64()};
-      s->next_quantum_ = VirtDuration{r.f64()};
-      s->period_ = VirtDuration{r.f64()};
-      s->next_periodic_ = VirtDuration{r.f64()};
-      s->quantum_switches_ = r.u64();
-    }
-    k.procs_.clear();
-    const u32 nproc = r.u32();
-    for (u32 i = 0; i < nproc; ++i) restore_process(r, k);
-  }
 };
 
-MachineSnapshot Access::save(sim::Machine& machine, hv::Hypervisor& hypervisor,
-                             const std::vector<guest::GuestKernel*>& kernels) {
+std::vector<u8> Access::state_bytes(sim::Machine& machine, hv::Hypervisor& hypervisor,
+                                    const std::vector<guest::GuestKernel*>& kernels) {
   Writer w;
-  MachineSnapshot snap;
   {
     const auto sec = w.begin_section(kSecMachine);
     w.u32(static_cast<u32>(machine.context_count()));
@@ -685,7 +426,7 @@ MachineSnapshot Access::save(sim::Machine& machine, hv::Hypervisor& hypervisor,
     w.u32(static_cast<u32>(kernels.size()));
     w.end_section(sec);
   }
-  Impl::save_pmem(w, machine.pmem, snap.frames);
+  Impl::save_pmem(w, machine.pmem);
   for (std::size_t i = 0; i < machine.context_count(); ++i) {
     Impl::save_ctx(w, machine.context(i));
   }
@@ -693,27 +434,7 @@ MachineSnapshot Access::save(sim::Machine& machine, hv::Hypervisor& hypervisor,
     Impl::save_vm(w, hypervisor.vm(i));
   }
   for (guest::GuestKernel* k : kernels) Impl::save_kernel(w, *k);
-  snap.bytes = std::move(w).take();
-  return snap;
-}
-
-void Access::restore(const MachineSnapshot& snap, sim::Machine& machine,
-                     hv::Hypervisor& hypervisor,
-                     const std::vector<guest::GuestKernel*>& kernels) {
-  Reader r(snap.bytes);
-  r.expect_section(kSecMachine);
-  if (r.u32() != machine.context_count()) mismatch("execution context count");
-  if (r.u32() != hypervisor.vm_count()) mismatch("VM count");
-  if (r.u32() != kernels.size()) mismatch("guest kernel count");
-  Impl::restore_pmem(r, snap, machine.pmem);
-  for (std::size_t i = 0; i < machine.context_count(); ++i) {
-    Impl::restore_ctx(r, machine.context(i));
-  }
-  for (std::size_t i = 0; i < hypervisor.vm_count(); ++i) {
-    Impl::restore_vm(r, hypervisor.vm(i));
-  }
-  for (guest::GuestKernel* k : kernels) Impl::restore_kernel(r, *k);
-  if (!r.at_end()) mismatch("trailing bytes after the last section");
+  return std::move(w).take();
 }
 
 }  // namespace ooh::snapshot

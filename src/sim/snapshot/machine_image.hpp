@@ -1,41 +1,27 @@
-// Machine snapshot/restore: versioned serialization of the full simulated
-// machine — frames, guest page tables (radix + segment + huge leaves), EPT,
-// VMCS (+ shadow), TLB, PML session state, dirty rings, registries, clocks
-// and counters — with copy-on-write frame sharing so a GiB-footprint tenant
-// snapshots in milliseconds.
+// Machine state fingerprint: one canonical, versioned byte stream over the
+// full simulated machine — allocator state and per-frame content digests,
+// guest page tables (radix + segment + huge leaves), EPT, VMCS (+ shadow),
+// TLB, PML session state, dirty rings, registries, clocks and counters.
 //
-// A snapshot is two parts:
-//   bytes   the canonical state stream (serializer.hpp format). The same
-//           machine state always produces the same bytes, so round-trip
-//           tests simply byte-compare save(bed).bytes against
-//           save(restore(bed)).bytes. Frame *contents* appear only as
-//           per-frame FNV-1a digests.
-//   frames  CoW references to the backed frames' contents, captured via
-//           PhysicalMemory::capture_frames() — O(backed frames) pointer
-//           copies, never a byte copy. While a snapshot is alive, a write to
-//           a captured frame clones it first (phys_mem.cpp frame_data), so
-//           the captured image is frozen; the FRAME-4 ownership audit knows
-//           these frames as shared-read-only.
+// The same machine state always produces the same bytes, so determinism
+// tests byte-compare the streams of two runs (same seed => same bytes).
+// Frame *contents* appear only as per-frame FNV-1a digests, computed
+// straight from the frame table.
 //
-// Epoch boundary contract — save() only accepts a *quiescent* machine:
+// Quiescence contract — the walk only accepts a machine between sessions:
 //   * no OoH module loaded, no uffd registrations, empty swap slots;
 //   * no PML session (the kPmlDrain chains and flush chains are empty);
 //   * no scheduler mid-service, no periodic service armed, no sched hooks;
 //   * no open clock attribution scopes; no installed SPP handlers.
-// These are exactly the points between run_tracked collection intervals /
-// workload runs where the TestBed sits between figure cells, which is what
-// makes them the epoch seams of src/sim/epoch. A non-quiescent save throws
-// std::logic_error naming the live session it found.
-//
-// restore() is in-place: it rewinds an *identically constructed* machine
-// (same TestBedOptions) onto the captured state. Structural mismatches
-// (different VM/vCPU/ring shapes) throw std::runtime_error.
+// These are the points between run_tracked collection intervals / workload
+// runs where a TestBed sits between figure cells. A non-quiescent machine
+// throws std::logic_error naming the live session it found: the stream
+// serializes state, not the raw pointers a live session holds.
 #pragma once
 
 #include <vector>
 
 #include "base/types.hpp"
-#include "sim/phys_mem.hpp"
 
 namespace ooh::sim {
 class Machine;
@@ -49,25 +35,13 @@ class GuestKernel;
 
 namespace ooh::snapshot {
 
-struct MachineSnapshot {
-  std::vector<ooh::u8> bytes;                       ///< canonical state stream.
-  std::vector<sim::PhysicalMemory::FrameImage> frames;  ///< CoW frame contents.
-
-  [[nodiscard]] std::size_t stream_bytes() const noexcept { return bytes.size(); }
-  [[nodiscard]] std::size_t frame_count() const noexcept { return frames.size(); }
-};
-
-/// The one friend every serializable class grants. All save/restore logic
-/// lives behind it (machine_image.cpp), so the intrusion per class is a
-/// single `friend struct ooh::snapshot::Access;` line.
+/// The one friend every serialized class grants. The walk lives behind it
+/// (machine_image.cpp), so the intrusion per class is a single
+/// `friend struct ooh::snapshot::Access;` line.
 struct Access {
-  [[nodiscard]] static MachineSnapshot save(
+  [[nodiscard]] static std::vector<u8> state_bytes(
       sim::Machine& machine, hv::Hypervisor& hypervisor,
       const std::vector<guest::GuestKernel*>& kernels);
-
-  static void restore(const MachineSnapshot& snap, sim::Machine& machine,
-                      hv::Hypervisor& hypervisor,
-                      const std::vector<guest::GuestKernel*>& kernels);
 
  private:
   /// Per-subsystem walkers (machine_image.cpp). A nested type shares the
@@ -75,18 +49,5 @@ struct Access {
   /// without each class having to befriend a dozen helper functions.
   struct Impl;
 };
-
-/// Convenience wrappers (the TestBed's save()/restore() call these).
-[[nodiscard]] inline MachineSnapshot save_machine(
-    sim::Machine& machine, hv::Hypervisor& hypervisor,
-    const std::vector<guest::GuestKernel*>& kernels) {
-  return Access::save(machine, hypervisor, kernels);
-}
-
-inline void restore_machine(const MachineSnapshot& snap, sim::Machine& machine,
-                            hv::Hypervisor& hypervisor,
-                            const std::vector<guest::GuestKernel*>& kernels) {
-  Access::restore(snap, machine, hypervisor, kernels);
-}
 
 }  // namespace ooh::snapshot

@@ -1,13 +1,17 @@
 // Epoch-parallel engine determinism pins (invariant EPOCH-1): virtual-time
 // outputs are a pure function of the epoch bodies — worker count, real-time
 // completion order (shuffled via the seeded stagger knob) and OS scheduling
-// cannot leak one bit into them. Plus the record/replay seam proof: every
-// epoch replayed independently from its boundary snapshot reproduces the
-// recorded serial timeline byte-for-byte.
+// cannot leak one bit into them. TestBed::run_tenants runs on the same pool,
+// so its error reporting is pinned here too.
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <array>
+#include <atomic>
+#include <chrono>
+#include <set>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "base/rng.hpp"
@@ -109,65 +113,71 @@ TEST(EpochPool, WorkerCountCapsAtEpochCount) {
   EXPECT_EQ(epoch::EpochPool::workers_for(8, opt), 1u);
 }
 
-/// Advance a bed by one epoch of tracked work and leave it quiescent.
-void epoch_body(TestBed& bed, std::size_t e) {
-  guest::GuestKernel& k = bed.kernel();
-  guest::Process& proc = k.create_process();
-  const u64 pages = 40;
-  const Gva base = proc.mmap(pages * kPageSize);
-  auto tracker = make_tracker(e % 2 == 0 ? Technique::kSpml : Technique::kProc,
-                              k, proc);
-  const RunResult r = run_tracked(
-      k, proc,
-      [=](guest::Process& p) {
-        Rng rng(77 + e);
-        for (u64 n = 0; n < pages * 2; ++n) {
-          p.touch_write(base + rng.below(pages) * kPageSize);
-        }
-      },
-      tracker.get());
-  tracker->shutdown();
-  // Epoch boundaries require full quiescence: the resident OoH module (left
-  // loaded by design after shutdown) must be unloaded before save().
-  k.unload_ooh_module();
-  ASSERT_GT(r.truth_pages, 0u);
+// ---- TestBed::run_tenants on the pool ----------------------------------------
+
+TestBedOptions fleet_bed(unsigned tenants) {
+  TestBedOptions opts = small_bed();
+  opts.tenant_vms = tenants;
+  return opts;
 }
 
-TEST(EpochRun, ReplayedEpochsReproduceRecordedSeamsAcrossThreadCounts) {
-  constexpr std::size_t kEpochs = 4;
-  TestBed recorder(small_bed());
-  const EpochChain chain = record_epochs(recorder, kEpochs, epoch_body);
-  ASSERT_EQ(chain.epochs(), kEpochs);
-  ASSERT_EQ(chain.boundaries.size(), kEpochs + 1);
-  // The recording's final state is the bed's current state.
-  EXPECT_TRUE(chain.boundaries.back().bytes == recorder.state_bytes());
-
-  const auto make_bed = [] { return std::make_unique<TestBed>(small_bed()); };
-  for (const unsigned threads : {1u, 2u, 4u}) {
-    ReplayOptions opt;
-    opt.threads = threads;
-    opt.stagger_seed = threads;  // shuffle completion order too
-    // verify_seams (on by default) byte-compares every replayed epoch's
-    // exit against the recorded chain and throws on any divergence.
-    const auto exits = replay_epochs(make_bed, chain, epoch_body, opt);
-    ASSERT_EQ(exits.size(), kEpochs);
-    for (std::size_t e = 0; e < kEpochs; ++e) {
-      EXPECT_TRUE(exits[e] == chain.boundaries[e + 1].bytes);
+TEST(RunTenants, LowestThrowingTenantIsRethrownAtAnyTiming) {
+  TestBed bed(fleet_bed(5));
+  for (int repeat = 0; repeat < 20; ++repeat) {
+    try {
+      bed.run_tenants(
+          [](unsigned i) {
+            if (i == 1) {
+              // Tenant 1 throws late, so tenant 3's exception is usually the
+              // first one raised in real time; it must still lose.
+              for (int y = 0; y < 2000; ++y) std::this_thread::yield();
+              throw std::runtime_error("tenant 1");
+            }
+            if (i == 3) throw std::runtime_error("tenant 3");
+          },
+          4);
+      FAIL() << "no exception surfaced";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "tenant 1") << "repeat " << repeat;
     }
   }
 }
 
-TEST(EpochRun, MergedCountersEqualSerialTotals) {
-  EventCounters a;
-  a.add(Event::kPageFaultSoftDirty, 3);
-  a.add(Event::kHypercall, 1);
-  EventCounters b;
-  b.add(Event::kPageFaultSoftDirty, 4);
-  b.add(Event::kPmlLogGpa, 9);
-  const EventCounters merged = merge_counters({a, b});
-  EXPECT_EQ(merged.get(Event::kPageFaultSoftDirty), 7u);
-  EXPECT_EQ(merged.get(Event::kHypercall), 1u);
-  EXPECT_EQ(merged.get(Event::kPmlLogGpa), 9u);
+// threads == 0 auto-sizes through EpochPool::workers_for, whose cap at the
+// epoch count EpochPool.WorkerCountCapsAtEpochCount pins; here the fleet
+// must actually get that many workers, one per tenant.
+TEST(RunTenants, AutoSizedPoolGivesEachTenantItsOwnWorker) {
+  constexpr unsigned kTenants = 2;
+  if (epoch::EpochPool::workers_for(kTenants, {}) < kTenants) {
+    GTEST_SKIP() << "single-core host: the pool runs tenants serially";
+  }
+  TestBed bed(fleet_bed(kTenants));
+  for (int repeat = 0; repeat < 20; ++repeat) {
+    std::array<std::thread::id, kTenants> ran_on{};
+    std::atomic<unsigned> arrived{0};
+    std::atomic<bool> timed_out{false};
+    bed.run_tenants(
+        [&](unsigned i) {
+          ran_on[i] = std::this_thread::get_id();
+          // Rendezvous: both tenants must be in flight at once, which only
+          // a pool of at least kTenants workers allows.
+          arrived.fetch_add(1);
+          const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+          while (arrived.load() < kTenants) {
+            if (std::chrono::steady_clock::now() > deadline) {
+              timed_out = true;
+              return;
+            }
+            std::this_thread::yield();
+          }
+        },
+        0);
+    ASSERT_FALSE(timed_out) << "repeat " << repeat << ": tenants never ran concurrently";
+    // Every tenant ran on its own pool thread, none on the caller.
+    const std::set<std::thread::id> workers(ran_on.begin(), ran_on.end());
+    EXPECT_EQ(workers.size(), kTenants) << "repeat " << repeat;
+    EXPECT_FALSE(workers.contains(std::this_thread::get_id()));
+  }
 }
 
 TEST(EpochRun, EnvThreadKnobParses) {

@@ -1,10 +1,11 @@
-// Machine snapshot/restore property tests (invariant SNAP-1): a restored
-// machine is indistinguishable from the original — byte-identical canonical
-// state stream, identical continued execution, and a full coherence audit
-// passes over it. Parameterized across the tracker backends x EPT
-// granularity configurations so every serialized subsystem (guest PTs in
-// both backends, huge leaves, eager-split state, PML/EPML rings, uffd-free
-// quiescent state) gets exercised.
+// Machine state fingerprint tests (invariant SNAP-1): TestBed::state_bytes()
+// is a pure function of the simulated machine state — the same drive gives
+// the same bytes, a different seed gives different bytes, and a machine at
+// a fingerprintable point passes the full coherence audit. Parameterized
+// across the tracker backends x EPT granularity configurations so every
+// serialized subsystem (guest PTs in both backends, huge leaves,
+// eager-split state, PML/EPML rings, uffd-free quiescent state, frame
+// digests) gets exercised.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -17,7 +18,6 @@
 #include "ooh/testbed.hpp"
 #include "ooh/trackers.hpp"
 #include "sim/check/invariant.hpp"
-#include "sim/snapshot/machine_image.hpp"
 #include "technique_label.hpp"
 
 namespace ooh::lib {
@@ -47,13 +47,13 @@ TestBedOptions bed_options(Gran g) {
 
 /// Drive the bed through a tracked run and leave it quiescent: a realistic
 /// mid-experiment machine (faulted translations, dirty flags, ring history,
-/// per-vCPU time) at a legal snapshot point.
+/// per-vCPU time) at a fingerprintable point.
 void advance(TestBed& bed, Technique tech, u64 seed) {
   guest::GuestKernel& k = bed.kernel();
   guest::Process& proc = k.create_process();
   const u64 pages = 96;
-  // data-backed so writes materialise frame contents: the round-trip then
-  // also covers the CoW frame capture and per-frame digests.
+  // data-backed so writes materialise frame contents: the fingerprint then
+  // also covers the per-frame digests.
   const Gva base = proc.mmap(pages * kPageSize, /*data_backed=*/true);
   auto tracker = make_tracker(tech, k, proc);
   RunOptions opts;
@@ -63,13 +63,14 @@ void advance(TestBed& bed, Technique tech, u64 seed) {
       [=](guest::Process& p) {
         Rng rng(seed);
         for (u64 i = 0; i < pages * 3; ++i) {
-          p.touch_write(base + rng.below(pages) * kPageSize);
+          const Gva page = base + rng.below(pages) * kPageSize;
+          p.write_u64(page, seed + i);
         }
       },
       tracker.get(), opts);
   tracker->shutdown();
   // Tracker shutdown untracks the process but deliberately leaves the OoH
-  // module resident (one module per guest); an epoch boundary additionally
+  // module resident (one module per guest); the fingerprint additionally
   // requires the module unloaded — part of the quiescence contract.
   k.unload_ooh_module();
   ASSERT_GT(r.truth_pages, 0u);
@@ -78,49 +79,56 @@ void advance(TestBed& bed, Technique tech, u64 seed) {
 class SnapshotRoundTrip
     : public ::testing::TestWithParam<std::tuple<Technique, Gran>> {};
 
+// A second bed driven the same way from scratch fingerprints to the same
+// bytes, fingerprinting leaves the bed unchanged, and the bed passes audit.
 TEST_P(SnapshotRoundTrip, RestoredStateStreamIsByteIdentical) {
   const auto [tech, gran] = GetParam();
+  const u64 seed = 0x5eed + static_cast<u64>(tech);
   TestBed bed(bed_options(gran));
-  advance(bed, tech, /*seed=*/0x5eed + static_cast<u64>(tech));
+  advance(bed, tech, seed);
+  const std::vector<u8> bytes = bed.state_bytes();
+  EXPECT_GT(bytes.size(), 0u);
+  // Fingerprinting observes the machine; it must not perturb it.
+  EXPECT_TRUE(bed.state_bytes() == bytes);
 
-  snapshot::MachineSnapshot snap = bed.save();
-  EXPECT_GT(snap.stream_bytes(), 0u);
-
-  // Restore in place and re-serialize: the canonical stream (which covers
-  // every subsystem, frame digests included) must not change by one byte.
-  bed.restore(snap);
-  const snapshot::MachineSnapshot again = bed.save();
-  ASSERT_EQ(snap.bytes.size(), again.bytes.size());
-  EXPECT_TRUE(snap.bytes == again.bytes)
+  TestBed rebuilt(bed_options(gran));
+  advance(rebuilt, tech, seed);
+  EXPECT_TRUE(rebuilt.state_bytes() == bytes)
       << technique_label(tech) << "/" << gran_label(gran)
-      << ": restored machine serialized differently";
+      << ": the same drive serialized differently";
 
-  // SNAP-1 closes with the oracle's word, not just stream equality: the
-  // restored machine passes the full cross-layer coherence audit.
+  // SNAP-1 closes with the oracle's word, not just stream equality: a
+  // fingerprintable machine passes the full cross-layer coherence audit.
   EXPECT_NO_THROW(bed.checker().audit_all());
 }
 
+// Two beds through the same two drive phases fingerprint alike; a different
+// second-phase seed fingerprints differently.
 TEST_P(SnapshotRoundTrip, RestoredMachineContinuesIdentically) {
   const auto [tech, gran] = GetParam();
   const u64 seed = 0xabcd + static_cast<u64>(tech);
 
-  TestBed bed(bed_options(gran));
-  advance(bed, tech, seed);
-  const snapshot::MachineSnapshot boundary = bed.save();
-
-  // Run the same second phase twice from the same boundary: once on the
-  // original timeline, once after rewinding. Everything — virtual time,
-  // counters, tables, ring history, frame contents — must replay exactly.
-  advance(bed, tech, seed ^ 0xff);
-  const std::vector<u8> first = bed.state_bytes();
-
-  bed.restore(boundary);
-  advance(bed, tech, seed ^ 0xff);
-  const std::vector<u8> second = bed.state_bytes();
-
-  EXPECT_TRUE(first == second)
+  // Everything — virtual time, counters, tables, ring history, frame
+  // contents — must match.
+  TestBed first(bed_options(gran));
+  advance(first, tech, seed);
+  advance(first, tech, seed ^ 0xff);
+  TestBed second(bed_options(gran));
+  advance(second, tech, seed);
+  advance(second, tech, seed ^ 0xff);
+  const std::vector<u8> bytes = first.state_bytes();
+  EXPECT_TRUE(second.state_bytes() == bytes)
       << technique_label(tech) << "/" << gran_label(gran)
-      << ": replay from restored boundary diverged";
+      << ": the same two-phase drive diverged";
+
+  // A different second-phase seed writes other pages and values: the
+  // fingerprint must see it.
+  TestBed other(bed_options(gran));
+  advance(other, tech, seed);
+  advance(other, tech, seed ^ 0xfe);
+  EXPECT_FALSE(other.state_bytes() == bytes)
+      << technique_label(tech) << "/" << gran_label(gran)
+      << ": a different seed produced the same fingerprint";
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -143,73 +151,24 @@ TEST(Snapshot, SaveRefusesNonQuiescentMachine) {
   tracker->init();
   tracker->begin_interval();
   proc.touch_write(base);
-  // Mid-session (OoH module loaded, rings armed) is not an epoch boundary.
-  EXPECT_THROW((void)bed.save(), std::logic_error);
+  // Mid-session (OoH module loaded, rings armed) is not fingerprintable.
+  EXPECT_THROW((void)bed.state_bytes(), std::logic_error);
   tracker->shutdown();
   // Shutdown alone is not quiescent either: the module stays resident.
-  EXPECT_THROW((void)bed.save(), std::logic_error);
+  EXPECT_THROW((void)bed.state_bytes(), std::logic_error);
   k.unload_ooh_module();
-  EXPECT_NO_THROW((void)bed.save());
+  EXPECT_NO_THROW((void)bed.state_bytes());
 }
 
-TEST(Snapshot, RestoreRejectsStructuralMismatch) {
-  TestBed small(bed_options(Gran::k4k));
-  TestBedOptions big = bed_options(Gran::k4k);
-  big.host_mem_bytes = 4 * kGiB;
-  TestBed other(big);
-  const snapshot::MachineSnapshot snap = small.save();
-  EXPECT_THROW(other.restore(snap), std::runtime_error);
-}
-
-TEST(Snapshot, RestoreRejectsCorruptedStream) {
-  TestBed bed(bed_options(Gran::k4k));
-  advance(bed, Technique::kProc, 7);
-  snapshot::MachineSnapshot snap = bed.save();
-  snap.bytes.resize(snap.bytes.size() / 2);  // truncation
-  EXPECT_THROW(bed.restore(snap), std::runtime_error);
-}
-
-// SNAP-1 mutation test: corrupting the restored machine's EPT must not go
-// unnoticed — the coherence oracle (not the snapshot code) is the component
-// under test here. A restore that silently produced this state would be
-// caught the same way.
-TEST(Snapshot, CoherenceOracleFlagsCorruptedRestoredEpt) {
-  TestBed bed(bed_options(Gran::k4k));
-  advance(bed, Technique::kProc, 11);
-  const snapshot::MachineSnapshot snap = bed.save();
-  bed.restore(snap);
-
-  // Corrupt one EPT leaf behind the oracle's back: point a mapping at an
-  // out-of-range HPA, the kind of damage a bad restore would inflict.
-  Gpa victim = 0;
-  bed.vm().ept().for_each_present([&](Gpa gpa, const sim::EptEntry&) {
-    if (victim == 0) victim = gpa;
-  });
-  ASSERT_NE(victim, 0u) << "no mapped page to corrupt";
-  bed.vm().ept().entry(victim)->hpa_page =
-      bed.machine().pmem.total_frames() * kPageSize + kPageSize;
-  EXPECT_THROW(bed.checker().audit_frames(), check::InvariantViolation);
-}
-
-// FRAME-4: materialised frame contents claimed by nothing and shared with
-// no snapshot are orphaned bytes; the ownership audit must say so. With a
-// live snapshot referencing the machine's frames, the same audit accepts
-// the shared-read-only state (CoW pinning is not a leak).
-TEST(Snapshot, FrameAuditDistinguishesSharedFromOrphanedBacking) {
+// FRAME-4: materialised frame contents claimed by nothing are orphaned
+// bytes; the ownership audit must say so.
+TEST(Snapshot, FrameAuditFlagsOrphanedBacking) {
   TestBed bed(bed_options(Gran::k4k));
   advance(bed, Technique::kProc, 13);
-
-  // Snapshot pins every backed frame shared-read-only; the audit passes.
-  const snapshot::MachineSnapshot snap = bed.save();
-  ASSERT_GT(bed.machine().pmem.shared_frames(), 0u);
   EXPECT_NO_THROW(bed.checker().audit_frames());
 
-  // Restored machines hold CoW-installed (shared) frames: still clean.
-  bed.restore(snap);
-  EXPECT_NO_THROW(bed.checker().audit_frames());
-
-  // Materialise contents for a frame no mapping, PML buffer, or snapshot
-  // accounts for: FRAME-4 must fire.
+  // Materialise contents for a frame no mapping or PML buffer accounts
+  // for: FRAME-4 must fire.
   const Hpa orphan = (bed.machine().pmem.total_frames() - 1) * kPageSize;
   (void)bed.machine().pmem.frame_data(orphan);
   try {
@@ -218,27 +177,6 @@ TEST(Snapshot, FrameAuditDistinguishesSharedFromOrphanedBacking) {
   } catch (const check::InvariantViolation& v) {
     EXPECT_EQ(v.id, "FRAME-4");
   }
-}
-
-TEST(Snapshot, SnapshotSharingIsCopyOnWrite) {
-  TestBed bed(bed_options(Gran::k4k));
-  guest::GuestKernel& k = bed.kernel();
-  guest::Process& proc = k.create_process();
-  const Gva base = proc.mmap(4 * kPageSize, /*data_backed=*/true);
-  proc.write_u64(base, 0x1111);
-
-  const snapshot::MachineSnapshot snap = bed.save();
-  const std::vector<u8> at_save = snap.bytes;
-
-  // Writing after the capture must clone, not mutate, the captured image.
-  proc.write_u64(base, 0x2222);
-  EXPECT_EQ(proc.read_u64(base), 0x2222u);
-
-  bed.restore(snap);
-  // Serialize before touching guest memory: a read charges virtual time and
-  // fills the TLB, which would legitimately perturb the stream.
-  EXPECT_TRUE(bed.state_bytes() == at_save);
-  EXPECT_EQ(proc.read_u64(base), 0x1111u) << "snapshot saw a post-capture write";
 }
 
 }  // namespace

@@ -17,6 +17,11 @@ Two kinds of input share the gate:
     epoch-parallel fan-out, where cpu_time exceeds wall time by design)
     is the user-facing quantity.
 
+A run made with --benchmark_repetitions=N is compared through each
+benchmark's `_median` aggregate (keyed by its run name), under the same
+bound; a single-run JSON (the committed baselines) through its iteration
+rows.
+
 Independently of timing, every benchmark that exports an `allocs_per_op`
 counter claims an allocation-free steady state; any non-trivial value fails
 the gate regardless of how fast the run was, because host timing noise can
@@ -43,11 +48,17 @@ def load_benchmarks(path: Path) -> dict[str, dict]:
         print(f"check_bench_regression: cannot read {path}: {err}", file=sys.stderr)
         raise SystemExit(2) from err
     out: dict[str, dict] = {}
+    medians: dict[str, dict] = {}
     for b in doc.get("benchmarks", []):
-        # Skip aggregate rows (mean/median/stddev) if repetitions were used.
+        # A repeated run (--benchmark_repetitions) is represented by its
+        # median aggregate, the estimate one noisy repetition cannot move;
+        # the other aggregates (mean/stddev/cv) are skipped.
         if b.get("run_type") == "aggregate":
+            if b.get("aggregate_name") == "median":
+                medians[b["run_name"]] = b
             continue
         out[b["name"]] = b
+    out.update(medians)
     if not out:
         print(f"check_bench_regression: no benchmarks in {path}", file=sys.stderr)
         raise SystemExit(2)

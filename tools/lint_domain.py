@@ -85,12 +85,7 @@ RULES: list[Rule] = [
     rule(
         "direct-counter-bump",
         r"\bcounters\.add\s*\(",
-        [
-            "src/sim/exec_context.hpp",
-            # Restore rebuilds counters verbatim from the snapshot stream;
-            # no event is being *charged*, so attribution is moot.
-            "src/sim/snapshot/machine_image.cpp",
-        ],
+        ["src/sim/exec_context.hpp"],
         "Event accounting must go through ExecContext::count() so counters "
         "stay attributable to the owning vCPU timeline.",
     ),
@@ -154,12 +149,12 @@ RULES: list[Rule] = [
         [
             # The seam itself, the explorer that instruments it (whose own
             # engine must not be instrumented), and the two sanctioned
-            # host-thread-spawning call sites (the sync seam wraps state,
-            # not thread lifetime).
+            # host-thread-spawning call sites — the epoch pool and the
+            # migration drainer (the sync seam wraps state, not thread
+            # lifetime).
             "src/base/sync.hpp",
             "src/sim/check/sched_explorer.hpp",
             "src/sim/check/sched_explorer.cpp",
-            "src/ooh/testbed.cpp",
             "src/hypervisor/migration.cpp",
             "src/sim/epoch/epoch_pool.cpp",
         ],
