@@ -395,6 +395,26 @@ void BM_GuestProcessTouchWrite(benchmark::State& state) {
 }
 BENCHMARK(BM_GuestProcessTouchWrite);
 
+void BM_ProcessWriteScatteredPages(benchmark::State& state) {
+  // write_u64 round-robin over 1024 TLB-resident, already-dirty pages: the
+  // scattered-store shape of the CRIU tiny/histogram loops. Every store
+  // takes the inline TLB-hit arm on a different page than the last (so the
+  // one-entry memo never answers), then the truth ledger and the scheduler
+  // check. allocs_per_op must read 0.
+  constexpr u64 kPages = 1024;
+  lib::TestBed bed;
+  auto& proc = bed.kernel().create_process();
+  const Gva base = proc.mmap(kPages * kPageSize);
+  proc.touch_range_write(base, kPages * kPageSize);  // prefault + dirty
+  u64 i = 0;
+  AllocCounter allocs(state);
+  for (auto _ : state) {
+    proc.write_u64(base + (i % kPages) * kPageSize, i);
+    ++i;
+  }
+}
+BENCHMARK(BM_ProcessWriteScatteredPages);
+
 void BM_TouchLoopPerPage(benchmark::State& state) {
   // Per-element loop over a warmed 4096-page region: the pre-PR4 shape of
   // every workload touch loop. Compare against BM_TouchRangePerPage.

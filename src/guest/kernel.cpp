@@ -164,15 +164,18 @@ void GuestKernel::on_guest_pml_full(sim::Vcpu& vcpu) {
   ooh_module_->handle_guest_pml_full(vcpu.cpu_index());
 }
 
-Hpa GuestKernel::access(Process& proc, Gva gva, bool is_write) {
-  sim::GuestPageTable& pt = page_table(proc);
+Hpa GuestKernel::access_slow(Process& proc, Gva gva, bool is_write) {
+  sim::GuestPageTable& pt = *proc.pt_;  // ownership checked by access()
   sim::Mmu& mmu = mmu_of(proc);
   Scheduler& sched = scheduler_of(proc);
   // A single access needs at most: missing fault, then (after the page is
   // mapped write-protected by a registered ufd) a write-protect fault, then
   // success. The bound just guards against policy bugs.
   for (int tries = 0; tries < 4; ++tries) {
-    const sim::Mmu::Result r = mmu.access(proc.pid(), pt, gva, is_write);
+    // The first try follows access()'s failed try_hit, so it goes straight
+    // to the walk; a retry after a fault re-probes the TLB.
+    const sim::Mmu::Result r = tries == 0 ? mmu.walk(proc.pid(), pt, gva, is_write)
+                                          : mmu.access(proc.pid(), pt, gva, is_write);
     switch (r.status) {
       case sim::Mmu::Status::kOk:
         if (is_write) proc.truth_record(page_floor(gva));
@@ -194,29 +197,10 @@ Hpa GuestKernel::access(Process& proc, Gva gva, bool is_write) {
 
 void GuestKernel::touch_run(Process& proc, Gva base, u64 stride, u64 n,
                             bool is_write) {
-  const u32 pid = proc.pid();
-  sim::Mmu& mmu = mmu_of(proc);
-  Scheduler& sched = scheduler_of(proc);
   sim::ExecContext& ctx = ctx_of(proc);
-  u64 i = 0;
-  while (i < n) {
-    // Fast path: serve as many accesses as cached translations allow. The
-    // lambda replays exactly what the kOk arm of access() plus the caller's
-    // touch_write/touch_read would have done after the MMU hit.
-    i += mmu.access_run(pid, base + i * stride, stride, n - i, is_write,
-                        [&](Gva page) {
-                          if (is_write) proc.truth_record(page);
-                          sched.on_progress(pid);
-                          ctx.charge_ns(ctx.cost.workload_write_ns);
-                        });
-    if (i < n) {
-      // The next access needs the full pipeline (TLB miss, fault, or a
-      // dirty-flag transition); route it through access() like the
-      // per-access loop would, then resume the run.
-      (void)access(proc, base + i * stride, is_write);
-      ctx.charge_ns(ctx.cost.workload_write_ns);
-      ++i;
-    }
+  for (u64 i = 0; i < n; ++i) {
+    (void)access(proc, base + i * stride, is_write);
+    ctx.charge_ns(ctx.cost.workload_write_ns);
   }
 }
 

@@ -136,13 +136,23 @@ class GuestKernel final : public sim::GuestIrqSink {
 
   /// Core access path: translate (fault + retry as needed), record truth,
   /// give the owning vCPU's scheduler a chance to tick. Returns the HPA.
-  Hpa access(Process& proc, Gva gva, bool is_write);
+  /// Inline: a TLB hit (Mmu::try_hit) is served here without a call; every
+  /// other access takes access_slow()'s full pipeline.
+  Hpa access(Process& proc, Gva gva, bool is_write) {
+    if (&proc.kernel_ != this || proc.pt_ == nullptr) [[unlikely]] {
+      throw std::logic_error("process does not belong to this kernel");
+    }
+    Hpa hpa = 0;
+    if (!mmus_[proc.cpu_]->try_hit(proc.pid(), gva, is_write, hpa)) [[unlikely]] {
+      return access_slow(proc, gva, is_write);
+    }
+    if (is_write) proc.truth_record(page_floor(gva));
+    scheds_[proc.cpu_]->on_progress(proc.pid());
+    return hpa;
+  }
 
-  /// Batched equivalent of n accesses at base, base+stride, ...: accesses a
-  /// cached translation can serve run through Mmu::access_run (same charges,
-  /// same truth/scheduler side effects per access); any access it cannot
-  /// serve falls back to the full access() pipeline, then the run resumes.
-  /// Virtual time is bit-identical to the per-access loop this replaces.
+  /// n accesses at base, base+stride, ..., each followed by the workload's
+  /// per-touch charge (workload_write_ns): touch_write/touch_read in a loop.
   void touch_run(Process& proc, Gva base, u64 stride, u64 n, bool is_write);
 
   /// Per-process page table (kernel-owned, like mm_struct). O(1): reads the
@@ -186,6 +196,9 @@ class GuestKernel final : public sim::GuestIrqSink {
   friend class Uffd;
   friend struct ooh::snapshot::Access;
 
+  /// access() after a TLB miss or a write through a clean entry: Mmu::walk
+  /// inside the fault/retry loop.
+  Hpa access_slow(Process& proc, Gva gva, bool is_write);
   void handle_not_present(Process& proc, Gva gva, bool is_write);
   void handle_not_writable(Process& proc, Gva gva);
   void handle_subpage_fault(Process& proc, Gva gva);

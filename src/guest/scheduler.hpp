@@ -45,8 +45,13 @@ class Scheduler {
   void clear_periodic();
 
   /// Called from the memory-access path of the running process; fires
-  /// quantum ticks and periodic service when their deadlines pass.
-  void on_progress(u32 pid);
+  /// quantum ticks and periodic service when their deadlines pass. Inline:
+  /// the common case is one flag test and one compare against the earlier
+  /// of the two deadlines.
+  void on_progress(u32 pid) {
+    if (in_service_ || ctx_.clock.now() < next_deadline_) return;
+    on_deadline(pid);
+  }
 
   /// Run `fn` as a different task: schedule the current process out (firing
   /// hooks, charging context switches), run, schedule it back in.
@@ -78,6 +83,15 @@ class Scheduler {
   void switch_in(u32 pid);
   void rearm_deadlines();
   void fire_quantum(u32 pid);
+  /// on_progress() once a deadline has passed: periodic service first, then
+  /// the quantum tick.
+  void on_deadline(u32 pid);
+  /// Recompute next_deadline_ after any change to the deadlines or to
+  /// whether a periodic service is armed.
+  void update_deadline() noexcept {
+    next_deadline_ = periodic_ && next_periodic_ < next_quantum_ ? next_periodic_
+                                                                  : next_quantum_;
+  }
 
   sim::ExecContext& ctx_;
   std::vector<SchedHook*> hooks_;
@@ -86,6 +100,7 @@ class Scheduler {
   std::function<void()> periodic_;
   VirtDuration period_{0};
   VirtDuration next_periodic_{0};
+  VirtDuration next_deadline_{secs(1.0)};  ///< min(next_quantum_, armed next_periodic_).
   bool in_service_ = false;
   u64 quantum_switches_ = 0;
 };

@@ -304,12 +304,13 @@ void CoherenceChecker::audit_pml_buffers(hv::Vm& vm) {
   const Hpa gbuf = shadow->read(sim::VmcsField::kGuestPmlAddress);
   if (gbuf == 0) continue;
   // The stored address is the EPT-translated HPA of a guest-owned frame, so
-  // it must still be backed by a present EPT mapping of this VM.
+  // it must still be backed by a present EPT mapping of this VM: some leaf's
+  // HPA span (a whole 2 MiB / 1 GiB region for a huge leaf) contains it.
   bool backed = is_page_aligned(gbuf);
   if (backed) {
     backed = false;
-    vm.ept().for_each_present([&](Gpa, sim::EptEntry& e) {
-      if (e.hpa_page == gbuf) backed = true;
+    vm.ept().for_each_leaf_present([&](Gpa, sim::EptEntry& e, PageGran g) {
+      if (gbuf >= e.hpa_page && gbuf - e.hpa_page < gran_size(g)) backed = true;
     });
   }
   if (!backed) {

@@ -11,24 +11,13 @@ namespace ooh::sim {
 Mmu::Mmu(Vcpu& vcpu, Ept& ept, SppTable* spp)
     : ctx_(vcpu.ctx()), vcpu_(vcpu), tlb_(vcpu.tlb()), ept_(ept), spp_(spp) {}
 
-Mmu::Result Mmu::access(u32 pid, GuestPageTable& pt, Gva gva, bool is_write) {
+Mmu::Result Mmu::walk(u32 pid, GuestPageTable& pt, Gva gva, bool is_write) {
   const Gva gva_page = page_floor(gva);
   Tlb& tlb = tlb_;
   WriteTrackRegistry& track = vcpu_.track_registry();
 
-  if (TlbEntry* te = tlb.lookup(pid, gva_page); te != nullptr) {
-    // A cached translation can serve reads always, and writes when the
-    // dirty state is already established (no flag transition => no logging).
-    if (!is_write || (te->writable && te->dirty)) {
-      ctx_.count(Event::kTlbHit);
-      ctx_.charge_ns(ctx_.cost.tlb_hit_ns);
-      // For a huge entry the cached bases are region bases; the in-region
-      // offset reduces to page_offset(gva) in the k4K case.
-      return {Status::kOk, te->hpa_page + gran_offset(gva, te->gran)};
-    }
-    // Write through a clean/RO cached entry: hardware re-walks to set flags.
-    tlb.invalidate_page(pid, gva_page);
-  }
+  // Write through a clean/RO cached entry: hardware re-walks to set flags.
+  if (memo_holds(pid, gva_page)) tlb.invalidate_page(pid, gva_page);
   ctx_.count(Event::kTlbMiss);
 
   // ---- guest page-table walk ----------------------------------------------
@@ -47,10 +36,11 @@ Mmu::Result Mmu::access(u32 pid, GuestPageTable& pt, Gva gva, bool is_write) {
     pte->dirty = true;
     // The dirty flag lives in the leaf, so the logged unit is the leaf's
     // whole span: base GVA/GPA plus the granularity (4 KiB leaves log the
-    // page itself, as before).
+    // page itself). The GPA comes from the walked per-4 KiB GPA: a
+    // segment's shared Pte names only the segment's base GPA.
     track.dispatch(TrackLayer::kGuestPtDirty,
-                   {&vcpu_, pid, gran_floor(gva_page, glu.gran), pte->gpa_page,
-                    glu.gran});
+                   {&vcpu_, pid, gran_floor(gva_page, glu.gran),
+                    gran_floor(glu.gpa_page, glu.gran), glu.gran});
   }
   const Gpa gpa = glu.gpa_page | page_offset(gva);
 
@@ -113,9 +103,8 @@ Mmu::Result Mmu::access(u32 pid, GuestPageTable& pt, Gva gva, bool is_write) {
   const Gva fill_base = gran_floor(gva_page, fill_gran);
   TlbEntry te;
   te.gran = fill_gran;
-  te.gpa_page = pte->gpa_page + (fill_base - gran_floor(gva_page, glu.gran));
-  te.hpa_page =
-      epte->hpa_page + gran_offset(gran_floor(glu.gpa_page, fill_gran), elu.gran);
+  te.gpa_page = gran_floor(glu.gpa_page, fill_gran);
+  te.hpa_page = epte->hpa_page + gran_offset(te.gpa_page, elu.gran);
   // SPP pages never cache write permission: every store must re-consult the
   // sub-page mask.
   te.writable = pte->writable && !pte->uffd_wp && epte->writable && !epte->spp;

@@ -45,48 +45,48 @@ class Mmu {
     Hpa hpa = 0;  ///< translated host physical address (valid when kOk).
   };
 
-  /// Perform one access at `gva` for guest process `pid` through `pt`.
-  [[nodiscard]] Result access(u32 pid, GuestPageTable& pt, Gva gva, bool is_write);
+  /// Perform one access at `gva` for guest process `pid` through `pt`:
+  /// try_hit(), then walk() when the TLB cannot serve it.
+  [[nodiscard]] Result access(u32 pid, GuestPageTable& pt, Gva gva, bool is_write) {
+    if (Hpa hpa = 0; try_hit(pid, gva, is_write, hpa)) return {Status::kOk, hpa};
+    return walk(pid, pt, gva, is_write);
+  }
 
-  /// Batched fast path: serve up to `n` stride-spaced accesses starting at
-  /// `gva` entirely from cached translations, without re-entering the full
-  /// per-access pipeline. For each access served, the *exact* per-access
-  /// sequence of the TLB-hit branch of access() runs — count(kTlbHit) then
-  /// charge_ns(tlb_hit_ns) — followed by `post(gva_page)`, where the caller
-  /// performs whatever it would have done after a kOk access (truth
-  /// recording, scheduler progress, the workload's own charge). Virtual
-  /// time is therefore bit-identical to the loop this replaces; only host
-  /// overhead (repeated hash probes and call layers) is removed.
+  /// The miss arm of access(): guest page-table walk, EPT walk, flag
+  /// transitions and TLB fill. Valid only straight after a try_hit() for
+  /// the same access returned false (it reads try_hit's memo to tell a
+  /// plain miss from a write through a clean entry).
+  [[nodiscard]] Result walk(u32 pid, GuestPageTable& pt, Gva gva, bool is_write);
+
+  /// The TLB-hit arm of access(), inline for the per-store hot path: when a
+  /// cached translation serves the access (any read; a write only through
+  /// an entry whose dirty state is already established), charge exactly
+  /// what access() charges on a hit — count(kTlbHit), then
+  /// charge_ns(tlb_hit_ns) — set `hpa` and return true. Otherwise charge
+  /// nothing and return false; the caller then runs walk().
   ///
-  /// Stops at the first access a cached translation cannot serve (TLB miss,
-  /// or a write through a clean/RO entry — both need the full walk and its
-  /// fault/logging side effects) and returns the number of accesses
-  /// completed; the caller routes the next access through access() and may
-  /// then resume. `post` may mutate the TLB indirectly (a scheduler service
-  /// can flush or fill it); the memoised entry is revalidated through
-  /// Tlb::generation() whenever that happens.
-  template <typename PostFn>
-  [[nodiscard]] u64 access_run(u32 pid, Gva gva, u64 stride, u64 n, bool is_write,
-                               PostFn&& post) {
-    u64 done = 0;
-    Gva memo_page = ~u64{0};
-    const TlbEntry* te = nullptr;
-    u64 memo_gen = 0;
-    while (done < n) {
-      const Gva page = page_floor(gva + done * stride);
-      if (te == nullptr || page != memo_page || tlb_.generation() != memo_gen) {
-        te = tlb_.lookup(pid, page);
-        if (te == nullptr) break;
-        memo_page = page;
-        memo_gen = tlb_.generation();
-      }
-      if (is_write && !(te->writable && te->dirty)) break;
-      ctx_.count(Event::kTlbHit);
-      ctx_.charge_ns(ctx_.cost.tlb_hit_ns);
-      post(page);
-      ++done;
+  /// A one-entry (pid, page, Tlb::generation()) memo lets repeated accesses
+  /// to one page skip the probe. Every insert of a new key, eviction,
+  /// invalidation and flush bumps the generation; an in-place refresh of a
+  /// key keeps the slot, and the memoised pointer re-reads its bits.
+  [[nodiscard]] bool try_hit(u32 pid, Gva gva, bool is_write, Hpa& hpa) {
+    const Gva page = page_floor(gva);
+    if (!memo_holds(pid, page)) {
+      const TlbEntry* te = tlb_.lookup(pid, page);
+      if (te == nullptr) return false;
+      memo_te_ = te;
+      memo_page_ = page;
+      memo_pid_ = pid;
+      memo_gen_ = tlb_.generation();
     }
-    return done;
+    const TlbEntry& te = *memo_te_;
+    if (is_write && !(te.writable && te.dirty)) return false;
+    ctx_.count(Event::kTlbHit);
+    ctx_.charge_ns(ctx_.cost.tlb_hit_ns);
+    // For a huge entry the cached bases are region bases; the in-region
+    // offset reduces to page_offset(gva) in the k4K case.
+    hpa = te.hpa_page + gran_offset(gva, te.gran);
+    return true;
   }
 
   [[nodiscard]] Ept& ept() noexcept { return ept_; }
@@ -97,6 +97,19 @@ class Mmu {
   Tlb& tlb_;
   Ept& ept_;
   SppTable* spp_;
+
+  /// True while the memo names the TLB entry caching (pid, page). After a
+  /// failed try_hit it is true exactly when an entry exists but cannot
+  /// serve the write.
+  [[nodiscard]] bool memo_holds(u32 pid, Gva page) const noexcept {
+    return page == memo_page_ && pid == memo_pid_ && tlb_.generation() == memo_gen_;
+  }
+
+  // try_hit's memo; memo_page_ starts at a never-page-aligned value.
+  const TlbEntry* memo_te_ = nullptr;
+  Gva memo_page_ = ~u64{0};
+  u32 memo_pid_ = 0;
+  u64 memo_gen_ = 0;
 };
 
 }  // namespace ooh::sim

@@ -12,14 +12,6 @@ namespace {
   return p;
 }
 
-[[nodiscard]] inline u64 hash_key(u32 pid, Gva gva_page) noexcept {
-  u64 h = page_index(gva_page) * 0x9E3779B97F4A7C15ULL;
-  h ^= (static_cast<u64>(pid) + 0x9E3779B97F4A7C15ULL) * 0xBF58476D1CE4E5B9ULL;
-  return h ^ (h >> 29);
-}
-
-constexpr std::size_t kAbsent = static_cast<std::size_t>(-1);
-
 }  // namespace
 
 Tlb::Tlb(std::size_t capacity) : capacity_(capacity) {
@@ -32,20 +24,6 @@ Tlb::Tlb(std::size_t capacity) : capacity_(capacity) {
   const std::size_t buckets = next_pow2(std::max<std::size_t>(16, 2 * slot_count));
   index_.assign(buckets, kEmptyBucket);
   bucket_mask_ = buckets - 1;
-}
-
-std::size_t Tlb::bucket_of(u32 pid, Gva gva_page) const noexcept {
-  return static_cast<std::size_t>(hash_key(pid, gva_page)) & bucket_mask_;
-}
-
-std::size_t Tlb::find_bucket(u32 pid, Gva gva_page) const noexcept {
-  std::size_t b = bucket_of(pid, gva_page);
-  while (index_[b] != kEmptyBucket) {
-    const Slot& s = slots_[index_[b] - 1];
-    if (s.pid == pid && s.gva_page == gva_page) return b;
-    b = (b + 1) & bucket_mask_;
-  }
-  return kAbsent;
 }
 
 void Tlb::index_insert(u32 pid, Gva gva_page, std::size_t pos) noexcept {
@@ -73,18 +51,12 @@ void Tlb::index_erase(std::size_t b) noexcept {
   index_[hole] = kEmptyBucket;
 }
 
-TlbEntry* Tlb::lookup(u32 pid, Gva gva_page) noexcept {
-  assert((gva_page >> 48) == 0 && "GVA beyond the 48-bit canonical split");
-  gva_page = page_floor(gva_page);  // tags are page-granular, as before
-  const std::size_t b = find_bucket(pid, gva_page);
-  if (b != kAbsent) return &slots_[index_[b] - 1].entry;
-  if (huge_entries_ != 0) {
-    // Region-base probes, smallest first (GRAN-1 means at most one hits).
-    for (const PageGran g : {PageGran::k2M, PageGran::k1G}) {
-      const std::size_t hb = find_bucket(pid, gran_floor(gva_page, g));
-      if (hb != kAbsent && slots_[index_[hb] - 1].entry.gran == g) {
-        return &slots_[index_[hb] - 1].entry;
-      }
+TlbEntry* Tlb::lookup_huge(u32 pid, Gva gva_page) noexcept {
+  // Region-base probes, smallest first (GRAN-1 means at most one hits).
+  for (const PageGran g : {PageGran::k2M, PageGran::k1G}) {
+    const std::size_t hb = find_bucket(pid, gran_floor(gva_page, g));
+    if (hb != kAbsent && slots_[index_[hb] - 1].entry.gran == g) {
+      return &slots_[index_[hb] - 1].entry;
     }
   }
   return nullptr;

@@ -54,7 +54,14 @@ class Tlb {
   /// Cached translation covering `gva_page`: the exact 4 KiB key first,
   /// then — only when huge entries exist at all — the 2 MiB / 1 GiB region
   /// bases. All-4K workloads never pay the extra probes.
-  [[nodiscard]] TlbEntry* lookup(u32 pid, Gva gva_page) noexcept;
+  /// Inline: the exact-key probe is on every TLB-hit access.
+  [[nodiscard]] TlbEntry* lookup(u32 pid, Gva gva_page) noexcept {
+    assert((gva_page >> 48) == 0 && "GVA beyond the 48-bit canonical split");
+    gva_page = page_floor(gva_page);  // tags are page-granular
+    const std::size_t b = find_bucket(pid, gva_page);
+    if (b != kAbsent) return &slots_[index_[b] - 1].entry;
+    return huge_entries_ != 0 ? lookup_huge(pid, gva_page) : nullptr;
+  }
   void insert(u32 pid, Gva gva_page, const TlbEntry& entry);
   /// Drop the entry whose span covers `gva_page` (a huge entry covering the
   /// page is dropped whole, as INVLPG does).
@@ -72,10 +79,10 @@ class Tlb {
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
 
-  /// Bumped on every mutation (insert, eviction, invalidation, flush).
-  /// Batched access paths memoise a looked-up entry pointer across
-  /// consecutive same-page accesses and must drop the memo the moment the
-  /// TLB changes underneath them (a scheduler service may flush mid-run).
+  /// Bumped on every structural mutation (insert of a new key, eviction,
+  /// invalidation, flush), not on an in-place refresh. Mmu::try_hit
+  /// memoises a looked-up entry pointer across same-page accesses and drops
+  /// the memo the moment the TLB changes underneath it.
   [[nodiscard]] u64 generation() const noexcept { return generation_; }
 
   /// Read-only visit of every cached translation as
@@ -99,11 +106,26 @@ class Tlb {
     TlbEntry entry;
   };
   static constexpr u32 kEmptyBucket = 0;  ///< index_ stores slot pos + 1.
+  static constexpr std::size_t kAbsent = static_cast<std::size_t>(-1);
 
-  [[nodiscard]] std::size_t bucket_of(u32 pid, Gva gva_page) const noexcept;
+  [[nodiscard]] std::size_t bucket_of(u32 pid, Gva gva_page) const noexcept {
+    u64 h = page_index(gva_page) * 0x9E3779B97F4A7C15ULL;
+    h ^= (static_cast<u64>(pid) + 0x9E3779B97F4A7C15ULL) * 0xBF58476D1CE4E5B9ULL;
+    return static_cast<std::size_t>(h ^ (h >> 29)) & bucket_mask_;
+  }
   /// Probe for the bucket holding (pid, gva_page); returns the bucket index
-  /// or SIZE_MAX when absent.
-  [[nodiscard]] std::size_t find_bucket(u32 pid, Gva gva_page) const noexcept;
+  /// or kAbsent.
+  [[nodiscard]] std::size_t find_bucket(u32 pid, Gva gva_page) const noexcept {
+    std::size_t b = bucket_of(pid, gva_page);
+    while (index_[b] != kEmptyBucket) {
+      const Slot& s = slots_[index_[b] - 1];
+      if (s.pid == pid && s.gva_page == gva_page) return b;
+      b = (b + 1) & bucket_mask_;
+    }
+    return kAbsent;
+  }
+  /// lookup() after the exact key missed: the 2 MiB / 1 GiB region bases.
+  [[nodiscard]] TlbEntry* lookup_huge(u32 pid, Gva gva_page) noexcept;
   void index_insert(u32 pid, Gva gva_page, std::size_t pos) noexcept;
   /// Remove bucket `b` with backward-shift deletion (no tombstones, so
   /// probe chains never degrade).

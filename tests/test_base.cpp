@@ -1,12 +1,16 @@
 // Unit tests for the base layer: interpolation, clock attribution, ring
-// buffer, counters, cost model calibration, stats, table rendering.
+// buffer, counters, cost model calibration, stats, the flat page map, table
+// rendering.
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "base/clock.hpp"
 #include "base/cost_model.hpp"
 #include "base/counters.hpp"
+#include "base/flat_page_map.hpp"
 #include "base/interp.hpp"
 #include "base/ring_buffer.hpp"
 #include "base/rng.hpp"
@@ -250,6 +254,144 @@ TEST(Rng, BoundsRespected) {
     EXPECT_GE(v, 3.0);
     EXPECT_LT(v, 5.0);
   }
+}
+
+// ---- flat page map --------------------------------------------------------------
+
+/// Reference model for FlatPageMap: a plain insertion-ordered vector with
+/// linear search and swap-with-last erase, the order the truth ledger has
+/// always iterated in.
+class PageMapModel {
+ public:
+  void insert_or_assign(Gva page, u64 value) {
+    for (auto& it : items_) {
+      if (it.first == page) {
+        it.second = value;
+        return;
+      }
+    }
+    items_.emplace_back(page, value);
+  }
+  void erase(Gva page) {
+    for (std::size_t i = 0; i < items_.size(); ++i) {
+      if (items_[i].first != page) continue;
+      items_[i] = items_.back();
+      items_.pop_back();
+      return;
+    }
+  }
+  [[nodiscard]] bool contains(Gva page) const {
+    for (const auto& it : items_) {
+      if (it.first == page) return true;
+    }
+    return false;
+  }
+  void clear() { items_.clear(); }
+  [[nodiscard]] const std::vector<std::pair<Gva, u64>>& items() const { return items_; }
+
+ private:
+  std::vector<std::pair<Gva, u64>> items_;
+};
+
+void expect_same(const FlatPageMap& map, const PageMapModel& model) {
+  ASSERT_EQ(map.size(), model.items().size());
+  std::size_t i = 0;
+  for (const auto& it : map) {
+    EXPECT_EQ(it.first, model.items()[i].first) << "item " << i;
+    EXPECT_EQ(it.second, model.items()[i].second) << "item " << i;
+    ++i;
+  }
+}
+
+TEST(FlatPageMap, EmptyMapContainsNothing) {
+  FlatPageMap map;
+  EXPECT_TRUE(map.empty());
+  EXPECT_FALSE(map.contains(0));
+  EXPECT_FALSE(map.contains(0x1000'0000));
+  map.erase(0x1000'0000);  // erase of an absent page is a no-op
+  EXPECT_TRUE(map.empty());
+}
+
+TEST(FlatPageMap, InsertReassignEraseClear) {
+  FlatPageMap map;
+  const Gva base = 0x1000'0000;
+  map.insert_or_assign(base + 5 * kPageSize, 1);
+  map.insert_or_assign(base, 2);
+  map.insert_or_assign(base + 5 * kPageSize, 3);  // re-assign keeps position
+  ASSERT_EQ(map.size(), 2u);
+  EXPECT_EQ(map.begin()->first, base + 5 * kPageSize);
+  EXPECT_EQ(map.begin()->second, 3u);
+  EXPECT_TRUE(map.contains(base));
+  EXPECT_FALSE(map.contains(base + kPageSize));  // untouched page inside the span
+  map.erase(base + 5 * kPageSize);
+  EXPECT_FALSE(map.contains(base + 5 * kPageSize));
+  ASSERT_EQ(map.size(), 1u);
+  EXPECT_EQ(map.begin()->first, base);
+  map.clear();
+  EXPECT_TRUE(map.empty());
+  EXPECT_FALSE(map.contains(base));
+  // The span survives clear(): re-inserting starts a fresh order.
+  map.insert_or_assign(base + 7 * kPageSize, 4);
+  map.insert_or_assign(base, 5);
+  ASSERT_EQ(map.size(), 2u);
+  EXPECT_EQ(map.begin()->first, base + 7 * kPageSize);
+}
+
+TEST(FlatPageMap, PagesBelowFirstAndFarPagesRebase) {
+  FlatPageMap map;
+  PageMapModel model;
+  const Gva first = 0x2000'0000;
+  const Gva pages[] = {first,
+                       first - kPageSize,              // just below: rebase
+                       first - 1000 * kPageSize,       // far below
+                       first + kGiB,                   // far above: grow
+                       0,                              // page 0: clamped base
+                       first + 3 * kPageSize};
+  u64 v = 0;
+  for (const Gva p : pages) {
+    map.insert_or_assign(p, ++v);
+    model.insert_or_assign(p, v);
+    expect_same(map, model);
+  }
+  for (const Gva p : pages) EXPECT_TRUE(map.contains(p)) << std::hex << p;
+  EXPECT_FALSE(map.contains(first + kPageSize));
+  EXPECT_FALSE(map.contains(first + kGiB + kPageSize));
+  EXPECT_FALSE(map.contains(first + 2 * kGiB));  // beyond the span
+  // Re-assign after rebasing hits the moved index entries.
+  for (const Gva p : pages) {
+    map.insert_or_assign(p, ++v);
+    model.insert_or_assign(p, v);
+  }
+  expect_same(map, model);
+}
+
+TEST(FlatPageMap, MatchesReferenceModelUnderRandomOps) {
+  FlatPageMap map;
+  PageMapModel model;
+  Rng rng(0xf1a7);
+  // Pages around a mid-span start, so rebasing below and growth above both
+  // happen mid-sequence, plus a sprinkle of far pages.
+  const Gva mid = 0x1000'0000 + 512 * kPageSize;
+  for (int op = 0; op < 20000; ++op) {
+    const u64 r = rng.below(100);
+    Gva page = mid + (rng.below(1024) - 512) * kPageSize;
+    if (rng.below(64) == 0) page = mid + (rng.below(4) + 1) * 64 * kMiB;
+    if (r < 60) {
+      map.insert_or_assign(page, static_cast<u64>(op));
+      model.insert_or_assign(page, static_cast<u64>(op));
+    } else if (r < 95) {
+      map.erase(page);
+      model.erase(page);
+    } else if (r < 96) {
+      map.clear();
+      model.clear();
+    } else {
+      EXPECT_EQ(map.contains(page), model.contains(page));
+    }
+    if (op % 997 == 0) expect_same(map, model);
+  }
+  expect_same(map, model);
+  for (const auto& it : model.items()) EXPECT_TRUE(map.contains(it.first));
 }
 
 // ---- table ---------------------------------------------------------------------

@@ -404,6 +404,51 @@ TEST_F(CoherenceMutationTest, DetectsEptEntryNamingBogusFrame) {
   expect_violation([&] { checker_.audit_frames(); }, "FRAME-3");
 }
 
+// ---- explicit audits of tracked runs ----------------------------------------
+// The auto-audit hook is compiled out of Release builds, so these call the
+// oracle by hand mid-run, while the tracker's state is live.
+
+/// Run `tech` over `pages` sequentially written pages, auditing the whole
+/// machine inside the workload (TLB full, logging armed) and after it.
+void audit_tracked_run(lib::TestBed& bed, lib::Technique tech, u64 pages) {
+  guest::Process& proc = bed.kernel().create_process();
+  const Gva base = proc.mmap(pages * kPageSize);
+  auto tracker = lib::make_tracker(tech, bed.kernel(), proc);
+  lib::RunOptions opts;
+  opts.collect_period = msecs(0.1);
+  (void)lib::run_tracked(bed.kernel(), proc,
+                         [&](guest::Process& p) {
+                           for (u64 i = 0; i < pages; ++i)
+                             p.touch_write(base + i * kPageSize);
+                           EXPECT_NO_THROW(bed.checker().audit_all());
+                         },
+                         tracker.get(), opts);
+  EXPECT_NO_THROW(bed.checker().audit_all());
+  tracker->shutdown();
+}
+
+TEST(CoherenceTrackedRun, SegmentTlbEntriesCacheTheWalkedPageGpa) {
+  // A segment's shared Pte names only its base GPA; TLB-1 re-derives each
+  // cached entry's per-page GPA, so a fill from the shared Pte fails it.
+  lib::TestBed bed;
+  audit_tracked_run(bed, lib::Technique::kSeg, 300);
+}
+
+TEST(CoherenceTrackedRun, EpmlBufferInsideHugeEptLeafIsBacked) {
+  // With 2 MiB EPT leaves the guest PML buffer's HPA lies inside a leaf,
+  // not at its base; EPML-4 must accept it (with and without eager split).
+  for (const bool split : {false, true}) {
+    SCOPED_TRACE(split ? "eager split" : "huge leaves kept");
+    lib::TestBedOptions opts;
+    opts.host_mem_bytes = 2 * kGiB;
+    opts.vm_mem_bytes = 256 * kMiB;
+    opts.ept_huge = true;
+    opts.eager_split = split;
+    lib::TestBed bed(opts);
+    audit_tracked_run(bed, lib::Technique::kEpml, 96);
+  }
+}
+
 // ---- auto-wiring ------------------------------------------------------------
 
 TEST(CoherenceWiring, AuditsRunAutomaticallyDuringTrackedRuns) {

@@ -40,6 +40,29 @@ TEST_F(GuestTest, MmapAssignsDisjointVmas) {
   EXPECT_THROW((void)p.mmap(0), std::invalid_argument);
 }
 
+TEST_F(GuestTest, AccessRejectsAProcessOfAnotherKernel) {
+  // The ownership check guards the inline hit arm as well as the slow path:
+  // a local process with the same pid and GVA makes (pid, page) resident in
+  // this kernel's TLB, and the foreign process must still be refused.
+  Process& local = kernel_.create_process();
+  const Gva local_base = local.mmap(kPageSize);
+  local.write_u64(local_base, 1);
+  hv::Vm& other_vm = hv_.create_vm(16 * kMiB);
+  GuestKernel other(hv_, other_vm);
+  Process& foreign = other.create_process();
+  const Gva base = foreign.mmap(kPageSize);
+  ASSERT_EQ(foreign.pid(), local.pid());
+  ASSERT_EQ(base, local_base);
+  foreign.write_u64(base, 1);
+  EXPECT_THROW((void)kernel_.access(foreign, base, /*is_write=*/true),
+               std::logic_error);
+  EXPECT_THROW((void)kernel_.access(foreign, base, /*is_write=*/false),
+               std::logic_error);
+  EXPECT_THROW(kernel_.touch_run(foreign, base, 8, 4, /*is_write=*/true),
+               std::logic_error);
+  EXPECT_NO_THROW((void)other.access(foreign, base, /*is_write=*/true));
+}
+
 TEST_F(GuestTest, DemandPagingMapsOnFirstTouch) {
   Process& p = kernel_.create_process();
   const Gva a = p.mmap(4 * kPageSize);

@@ -175,6 +175,47 @@ TEST_P(TrackerIntervalTest, IntervalsAreDisjointWindows) {
 INSTANTIATE_TEST_SUITE_P(AllTechniques, TrackerIntervalTest, ::testing::ValuesIn(kAll),
                          [](const auto& pinfo) { return technique_label(pinfo.param); });
 
+// The TLB-hit arm memoises the last translation; whatever re-arms logging
+// (clear_refs' flush, a PML drain's invalidation, an explicit flush) must
+// drop that memo, so a same-page write right after a collection re-walks
+// and is logged again.
+class SamePageRewriteTest : public ::testing::TestWithParam<Technique> {};
+
+TEST_P(SamePageRewriteTest, RewriteAfterCollectReWalksAndLogs) {
+  TestBed bed;
+  guest::GuestKernel& k = bed.kernel();
+  guest::Process& proc = k.create_process();
+  const Gva base = proc.mmap(4 * kPageSize);
+  const Gva page = base + kPageSize;
+  auto tracker = make_tracker(GetParam(), k, proc);
+  tracker->init();
+  tracker->begin_interval();
+  guest::Scheduler& sched = k.scheduler();
+  const EventCounters& ev = k.ctx_of(proc).counters;
+
+  sched.enter_process(proc.pid());
+  for (u64 round = 0; round < 3; ++round) {
+    proc.write_u64(page, round);
+    const u64 misses = ev.get(Event::kTlbMiss);
+    proc.write_u64(page + 8, round);  // same page: served by the hit arm
+    EXPECT_EQ(ev.get(Event::kTlbMiss), misses) << "round " << round;
+    EXPECT_EQ(tracker->collect(), std::vector<Gva>{page}) << "round " << round;
+    tracker->begin_interval();
+  }
+  proc.write_u64(page, 7);
+  const u64 misses = ev.get(Event::kTlbMiss);
+  k.tlb_flush_pid(proc);
+  proc.write_u64(page, 8);
+  EXPECT_EQ(ev.get(Event::kTlbMiss), misses + 1) << "flush must drop the memo";
+  sched.exit_process(proc.pid());
+  EXPECT_EQ(tracker->collect(), std::vector<Gva>{page});
+  tracker->shutdown();
+}
+
+INSTANTIATE_TEST_SUITE_P(ProcAndSpml, SamePageRewriteTest,
+                         ::testing::Values(Technique::kProc, Technique::kSpml),
+                         [](const auto& pinfo) { return technique_label(pinfo.param); });
+
 TEST(TrackerPhases, SpmlCollectIsDominatedByReverseMapping) {
   // Fig. 3: reverse mapping is the bottleneck of SPML collection.
   TestBed bed;
