@@ -10,11 +10,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <functional>
 #include <iostream>
+#include <limits>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -22,7 +22,6 @@
 
 #include "base/table.hpp"
 #include "base/vtime.hpp"
-#include "ooh/adaptive/adaptive_tracker.hpp"
 #include "ooh/experiment.hpp"
 #include "ooh/testbed.hpp"
 #include "ooh/trackers.hpp"
@@ -42,29 +41,48 @@ struct Args {
   /// --gran: EPT backing granularity for the figs. 10-11 gran sections
   /// (4k | 2m | 2m+split). Default 4k keeps every figure byte-identical.
   GranMode gran = GranMode::k4K;
-  /// --adaptive: append the adaptive-control-plane section to figs. 10-11
-  /// (phase-changing workload, static backends vs policy-driven switching).
-  /// Off by default so the stock figures stay byte-identical.
-  bool adaptive = false;
 
+  /// An unknown flag, a missing value or an invalid value prints a one-line
+  /// usage to stderr and exits with status 2, so a mistyped flag cannot
+  /// silently produce the stock figure.
   static Args parse(int argc, char** argv, u64 default_scale = 32) {
     Args a;
     a.scale = default_scale;
     for (int i = 1; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--full") == 0) {
+      const std::string flag = argv[i];
+      if (flag == "--full") {
         a.full = true;
         a.scale = 1;
-      } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-        a.threads = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
-      } else if (std::strcmp(argv[i], "--vcpus") == 0 && i + 1 < argc) {
-        a.vcpus = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
-      } else if (std::strcmp(argv[i], "--gran") == 0 && i + 1 < argc) {
-        if (const auto m = parse_gran_mode(argv[++i])) a.gran = *m;
-      } else if (std::strcmp(argv[i], "--adaptive") == 0) {
-        a.adaptive = true;
+        continue;
       }
+      if (flag != "--threads" && flag != "--vcpus" && flag != "--gran") {
+        usage_exit(argv[0], "unknown flag '" + flag + "'");
+      }
+      if (i + 1 >= argc) usage_exit(argv[0], flag + " needs a value");
+      const std::string value = argv[++i];
+      if (flag == "--gran") {
+        const auto m = parse_gran_mode(value);
+        if (!m) usage_exit(argv[0], "invalid value '" + value + "' for --gran");
+        a.gran = *m;
+        continue;
+      }
+      char* end = nullptr;
+      const unsigned long n = std::strtoul(value.c_str(), &end, 10);
+      if (value.empty() || value[0] == '-' || *end != '\0' ||
+          n > std::numeric_limits<unsigned>::max()) {
+        usage_exit(argv[0], "invalid value '" + value + "' for " + flag);
+      }
+      (flag == "--threads" ? a.threads : a.vcpus) = static_cast<unsigned>(n);
     }
     return a;
+  }
+
+  [[noreturn]] static void usage_exit(const char* prog, const std::string& why) {
+    std::fprintf(stderr,
+                 "%s: %s; usage: %s [--full] [--threads N] [--vcpus N] "
+                 "[--gran 4k|2m|2m+split]\n",
+                 prog, why.c_str(), prog);
+    std::exit(2);
   }
 };
 
@@ -236,94 +254,6 @@ inline SmpDrainResult run_smp_drain(unsigned vcpus, u64 pages_per_vcpu,
   out.spread_pct = max_us > 0.0 ? (max_us - min_us) / max_us * 100.0 : 0.0;
   bed.audit();
   return out;
-}
-
-// ---- adaptive control plane: phase-changing workload ------------------------
-
-/// One run of the figs. 10-11 --adaptive section: hot write bursts, a cold
-/// read stretch, hot bursts again — the phase shape where a static backend
-/// is wrong half the time. `static_tech` pins the backend; nullopt runs the
-/// adaptive control plane (WssEstimator + PolicyEngine over live handoff).
-struct AdaptivePhasesResult {
-  double virt_ms = 0.0;       ///< guest + tracker virtual time, whole run.
-  u64 pages = 0;              ///< dirty pages collected across all intervals.
-  u64 switches = 0;           ///< live backend handoffs (0 for static).
-  std::string final_backend;  ///< backend active when the run ended.
-};
-
-inline AdaptivePhasesResult run_adaptive_phases(
-    std::optional<lib::Technique> static_tech, u64 hot_pages = 256,
-    int hot_intervals = 4, int cold_intervals = 12) {
-  lib::TestBed bed;
-  auto& k = bed.kernel();
-  guest::Process& proc = k.create_process();
-  const Gva base = proc.mmap(4 * hot_pages * kPageSize);
-  proc.touch_range_write(base, 4 * hot_pages * kPageSize);  // prefault
-
-  std::unique_ptr<lib::DirtyTracker> tracker;
-  lib::AdaptiveTracker* adaptive = nullptr;
-  if (static_tech) {
-    tracker = lib::make_tracker(*static_tech, k, proc);
-  } else {
-    lib::AdaptiveOptions ao;
-    ao.estimator_alpha = 0.9;  // respond within a couple of windows
-    auto at = std::make_unique<lib::AdaptiveTracker>(k, proc, ao);
-    adaptive = at.get();
-    tracker = std::move(at);
-  }
-  tracker->init();
-  tracker->begin_interval();
-
-  AdaptivePhasesResult out;
-  const VirtDuration start = bed.ctx().clock.now();
-  const auto interval = [&](auto body) {
-    k.scheduler().enter_process(proc.pid());
-    body();
-    k.scheduler().exit_process(proc.pid());
-    out.pages += tracker->collect().size();
-    tracker->begin_interval();
-  };
-  for (int i = 0; i < hot_intervals; ++i) {
-    interval([&] { proc.touch_range_write(base, hot_pages * kPageSize); });
-  }
-  for (int i = 0; i < cold_intervals; ++i) {
-    interval([&] { proc.touch_read(base); });  // reads only: the cold phase
-  }
-  for (int i = 0; i < hot_intervals; ++i) {
-    interval([&] {
-      proc.touch_range_write(base + 2 * hot_pages * kPageSize,
-                             hot_pages * kPageSize);
-    });
-  }
-  out.virt_ms = (bed.ctx().clock.now() - start).count() / 1e3;
-  out.switches = adaptive != nullptr ? adaptive->switches() : 0;
-  out.final_backend = std::string(lib::technique_name(tracker->effective_technique()));
-  tracker->shutdown();
-  bed.audit();
-  return out;
-}
-
-/// Renders the --adaptive section shared by figs. 10 and 11.
-inline void print_adaptive_section() {
-  std::printf("\nAdaptive control plane: phase-changing workload (--adaptive)\n");
-  TextTable a({"tracker", "virt (ms)", "pages", "switches", "final backend"});
-  const std::pair<const char*, std::optional<lib::Technique>> kRows[] = {
-      {"epml (static)", lib::Technique::kEpml},
-      {"wp (static)", lib::Technique::kWp},
-      {"adaptive", std::nullopt}};
-  for (const auto& [label, tech] : kRows) {
-    const AdaptivePhasesResult r = run_adaptive_phases(tech);
-    a.add_row({label, TextTable::fmt(r.virt_ms, 2), std::to_string(r.pages),
-               std::to_string(r.switches), r.final_backend});
-  }
-  a.print(std::cout);
-  std::printf("Shape check: the adaptive run switches backends at least twice\n"
-              "(hot->cold->hot) and captures exactly the pages static EPML does.\n"
-              "Its virtual-time gap vs the winning static backend is the handoff\n"
-              "tax -- arming/disarming the cold backend's write protection over\n"
-              "the tracked VMA -- paid once per phase change, amortised over\n"
-              "phase length; the cold windows themselves run with no standing\n"
-              "PML session or ring to service.\n");
 }
 
 /// The vCPU counts the SMP sections sweep: 1,2,4 by default, or 1..--vcpus

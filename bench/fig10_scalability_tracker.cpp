@@ -97,10 +97,5 @@ int main(int argc, char** argv) {
   g.print(std::cout);
   std::printf("Shape check: 4K and 2M+split harvest identical page-precise dirty\n"
               "sets; plain 2M harvests a superset (whole huge regions).\n");
-
-  // Adaptive axis (opt-in, keeps the stock figure byte-identical): the
-  // tracker-side view of policy-driven backend switching — what the control
-  // plane costs and saves when the workload's phase changes under it.
-  if (args.adaptive) bench::print_adaptive_section();
   return 0;
 }

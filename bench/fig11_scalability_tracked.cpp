@@ -89,10 +89,5 @@ int main(int argc, char** argv) {
   g.print(std::cout);
   std::printf("Shape check: 2M+split matches 4K harvest precision; its only\n"
               "virtual-time cost over plain 2M is the one-off enable-time split.\n");
-
-  // Adaptive axis (opt-in, keeps the stock figure byte-identical): the
-  // Tracked-side view — what the phase-changing guest pays under a static
-  // backend pinned wrong for half the run vs the adaptive control plane.
-  if (args.adaptive) bench::print_adaptive_section();
   return 0;
 }

@@ -28,7 +28,6 @@
 
 #include "base/arena.hpp"
 #include "base/ring_buffer.hpp"
-#include "ooh/adaptive/adaptive_tracker.hpp"
 #include "guest/kernel.hpp"
 #include "hypervisor/dirty_ring.hpp"
 #include "hypervisor/hypervisor.hpp"
@@ -497,58 +496,6 @@ void BM_TrackerCollect4kDirty(benchmark::State& state) {
   tracker->shutdown();
 }
 BENCHMARK(BM_TrackerCollect4kDirty)->Unit(benchmark::kMicrosecond);
-
-void BM_WssEstimatorUpdate(benchmark::State& state) {
-  // The adaptive control plane's sensing cost: fold one 512-page interval
-  // sample into the open window, close it (EWMA update), open the next.
-  // This runs once per collect() on every adaptive session, so it must stay
-  // small next to the collect it annotates.
-  lib::TestBed bed;
-  lib::WssEstimator est(/*alpha=*/0.5);
-  std::vector<Gva> pages(512);
-  for (u64 i = 0; i < pages.size(); ++i) pages[i] = i * kPageSize;
-  u64 w = 0;
-  for (auto _ : state) {
-    est.note_interval(1, pages, usecs(static_cast<double>(++w) * 100.0),
-                      bed.ctx());
-    benchmark::DoNotOptimize(est.signal(1));
-  }
-  state.SetItemsProcessed(state.iterations() * 512);
-}
-BENCHMARK(BM_WssEstimatorUpdate)->Unit(benchmark::kMicrosecond);
-
-void BM_PolicySwitchHandoff(benchmark::State& state) {
-  // One full live backend handoff in each direction per iteration: a hot
-  // 64-page interval flips wp -> EPML, an empty interval flips EPML -> wp.
-  // Measures the whole switch protocol — old backend shutdown, new backend
-  // init, estimator window close, policy decision — plus the interval's own
-  // writes; the `switches` counter confirms the flip really ran every time.
-  lib::TestBed bed;
-  auto& k = bed.kernel();
-  auto& proc = k.create_process();
-  const Gva base = proc.mmap(64 * kPageSize);
-  proc.touch_range_write(base, 64 * kPageSize);  // prefault
-  lib::AdaptiveOptions ao;
-  ao.initial = lib::Technique::kEpml;
-  ao.estimator_alpha = 1.0;  // signal == last window: flips deterministically
-  ao.policy.warmup_windows = 0;
-  ao.policy.min_windows_between_switches = 0;
-  lib::AdaptiveTracker tracker(k, proc, ao);
-  tracker.init();
-  tracker.begin_interval();
-  for (auto _ : state) {
-    k.scheduler().enter_process(proc.pid());
-    proc.touch_range_write(base, 64 * kPageSize);
-    k.scheduler().exit_process(proc.pid());
-    benchmark::DoNotOptimize(tracker.collect());  // hot window: -> EPML
-    tracker.begin_interval();
-    benchmark::DoNotOptimize(tracker.collect());  // empty window: -> wp
-    tracker.begin_interval();
-  }
-  state.counters["switches"] = static_cast<double>(tracker.switches());
-  tracker.shutdown();
-}
-BENCHMARK(BM_PolicySwitchHandoff)->Unit(benchmark::kMicrosecond);
 
 void BM_GcAllocCollectCycle(benchmark::State& state) {
   lib::TestBed bed;

@@ -75,8 +75,6 @@ CostModel CostModel::unit() {
   m.hc_spp_protect_us = 1.0;
   m.swap_in_page_us = 1.0;
   m.ept_split_leaf_us = 1.0;
-  m.wss_estimator_update_ns = 0.0;
-  m.policy_switch_us = 1.0;
   // Flat size-dependent metrics: totals of 1us regardless of size, so tests
   // can predict exact clock values from event counts.
   m.m5_pfh_kernel = flat(1.0);

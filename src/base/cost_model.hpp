@@ -63,12 +63,6 @@ struct CostModel {
   /// the session-start flush). KVM's tdp_mmu split path is a low-single-
   /// digit-microsecond operation per 2 MiB leaf.
   double ept_split_leaf_us = 2.0;
-  /// Adaptive control plane (ROADMAP item 3): WssEstimator bookkeeping per
-  /// observed page (hash-set insert + EWMA arithmetic, userspace).
-  double wss_estimator_update_ns = 25.0;
-  /// PolicyEngine backend handoff: the decision + switch bookkeeping. The
-  /// retiring/arming backends charge their own teardown/init on top.
-  double policy_switch_us = 0.5;
 
   // ---- Table V(b): size-dependent totals, x = tracked bytes, y = us -------
   LogLogInterp m5_pfh_kernel;      ///< kernel-space #PF handling, total per full pass.

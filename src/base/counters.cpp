@@ -50,8 +50,6 @@ constexpr std::array<std::string_view, kEventCount> kNames = {
     "migration_aborted",
     "tlb_shootdown_ipi",
     "dirty_ring_full",
-    "policy_switch",
-    "migration_throttle",
 };
 
 }  // namespace

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "base/sync.hpp"
-#include "ooh/adaptive/convergence.hpp"
 
 namespace ooh::hv {
 namespace {
@@ -141,10 +140,8 @@ MigrationReport MigrationEngine::migrate(Vm& vm,
     return rep;
   }
 
-  lib::ConvergencePredictor predictor;
   std::vector<Gpa> carry;  // harvested but never transferred (failed sends)
   for (unsigned round = 0; round < opts.max_rounds; ++round) {
-    const VirtDuration round_start = m.clock.now();
     run_overlapped(run_guest_quantum);
     std::vector<Gpa> pending = hv_.harvest_hyp_dirty(vm);
     merge_unique(pending, carry);
@@ -172,31 +169,6 @@ MigrationReport MigrationEngine::migrate(Vm& vm,
       carry.clear();
       break;
     }
-    if (opts.adaptive_convergence) {
-      // Convergence prediction: dirty rate (EWMA over virtual time) vs. the
-      // transport's send bandwidth.
-      predictor.observe_round(pending.size(), m.clock.now() - round_start);
-      if (predictor.rounds() >= opts.predictor_warmup_rounds) {
-        const bool non_conv = predictor.non_convergent(m.cost);
-        predictor.note_verdict(non_conv);
-        if (non_conv && opts.throttle_fraction > 0.0) {
-          // Auto-converge: stall the guest for a fraction of the round it
-          // just ran (charged slowdown), lowering the dirty rate the next
-          // round will measure — QEMU's cpu-throttle, in virtual time.
-          m.count(Event::kMigrationThrottle);
-          ++rep.throttled_rounds;
-          m.charge_us(opts.throttle_fraction * to_us(m.clock.now() - round_start));
-        }
-        if (predictor.sustained_non_convergence() >= opts.predictor_patience) {
-          // Pre-copy provably cannot shrink the pending set: skip the
-          // redundant transfer and fold the harvest straight into the
-          // forced stop-and-copy below (auto-sized max_rounds).
-          rep.predicted_nonconvergent = true;
-          carry = std::move(pending);
-          break;
-        }
-      }
-    }
     if (send_pages(m, pending.size(), opts, rep)) {
       carry.clear();
     } else {
@@ -205,7 +177,6 @@ MigrationReport MigrationEngine::migrate(Vm& vm,
       carry = std::move(pending);
     }
   }
-  rep.predicted_dirty_rate = predictor.dirty_rate();
   if (!rep.converged && !rep.aborted) {
     // Non-convergence cutoff: forced stop-and-copy after max_rounds. This
     // runs a full extra round (guest quantum + harvest), so it counts as

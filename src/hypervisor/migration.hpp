@@ -36,22 +36,6 @@ struct MigrationOptions {
   /// difference is host-side: ring occupancy stays low and the harvest
   /// pause shrinks (MigrationReport::ring_drained counts the overlap).
   bool concurrent_ring_drain = false;
-
-  // ---- adaptive convergence control (inert unless enabled) ------------------
-  /// Drive the pre-copy loop with a ConvergencePredictor: compare each
-  /// round's smoothed dirty rate against the transport's send bandwidth,
-  /// throttle the guest while pre-copy cannot converge, and cut the loop
-  /// short (auto-sizing max_rounds down) once non-convergence is sustained
-  /// — instead of burning all max_rounds resending the same hot set.
-  bool adaptive_convergence = false;
-  /// Rounds the predictor observes before it may act (the EWMA needs data).
-  unsigned predictor_warmup_rounds = 2;
-  /// Consecutive non-convergent verdicts (after warmup) before the forced
-  /// stop-and-copy cutoff.
-  unsigned predictor_patience = 2;
-  /// Fraction of each non-convergent round's duration charged to the guest
-  /// as a throttle stall (QEMU auto-converge style). 0 disables throttling.
-  double throttle_fraction = 0.3;
 };
 
 struct MigrationReport {
@@ -65,10 +49,6 @@ struct MigrationReport {
   bool aborted = false;        ///< a transfer kept failing; migration gave up.
   VirtDuration total_time{0};
   VirtDuration downtime{0};    ///< stop-and-copy duration (VM paused).
-  // ---- adaptive convergence control (zero/false unless enabled) -------------
-  u64 throttled_rounds = 0;    ///< rounds the guest was throttle-stalled.
-  bool predicted_nonconvergent = false;  ///< predictor forced the cutoff.
-  double predicted_dirty_rate = 0.0;     ///< final smoothed rate, pages/virtual-ms.
 };
 
 class MigrationEngine {

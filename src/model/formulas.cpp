@@ -89,9 +89,8 @@ Estimate estimate(lib::Technique t, const ModelParams& p, const CostModel& cost)
       break;  // E(C_oracle) = 0 by definition (§VI-B).
 
     case lib::Technique::kSeg:
-    case lib::Technique::kAdaptive:
-      // No closed-form estimate: seg's superset reporting and the adaptive
-      // plane's backend mix are workload-dependent; measure, don't model.
+      // No closed-form estimate: seg's superset reporting is
+      // workload-dependent; measure, don't model.
       break;
   }
   return e;

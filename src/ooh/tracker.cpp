@@ -16,7 +16,6 @@ std::string_view technique_name(Technique t) noexcept {
     case Technique::kWp: return "wp";
     case Technique::kSeg: return "seg";
     case Technique::kOracle: return "oracle";
-    case Technique::kAdaptive: return "adaptive";
   }
   return "?";
 }
@@ -41,6 +40,10 @@ void DirtyTracker::init() {
       fallback_ = make_tracker(fb, kernel_, proc_);
     }
   }
+  // phases() reports the fallback's accounts: seed its init with the failed
+  // attempt so the reported init covers all the time init() took. A chained
+  // degradation passes the sum on the same way.
+  fallback_->phases_.init = phases_.init;
   fallback_->init();
 }
 

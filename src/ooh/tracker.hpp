@@ -25,7 +25,7 @@
 
 namespace ooh::lib {
 
-enum class Technique { kProc, kUfd, kSpml, kEpml, kWp, kSeg, kOracle, kAdaptive };
+enum class Technique { kProc, kUfd, kSpml, kEpml, kWp, kSeg, kOracle };
 
 [[nodiscard]] std::string_view technique_name(Technique t) noexcept;
 
@@ -60,32 +60,28 @@ class DirtyTracker {
   /// One-time setup. If the backend's resources cannot be allocated
   /// (bad_alloc — real or injected), the tracker degrades gracefully: it
   /// constructs its fallback_technique() tracker and delegates the whole
-  /// lifecycle to it, counting Event::kTrackerDegraded. Techniques with no
-  /// weaker sibling rethrow.
-  ///
-  /// The lifecycle is virtual so composing trackers (AdaptiveTracker) can
-  /// delegate whole-hog to a live backend without double-counting the
-  /// wrapper accounting this base performs (kTrackerCollect, phase scopes,
-  /// dedup); concrete backends override the protected do_* hooks only.
-  virtual void init();
-  virtual void begin_interval();
+  /// lifecycle to it, counting Event::kTrackerDegraded. The failed
+  /// attempt's virtual time counts in the fallback's reported init.
+  /// Techniques with no weaker sibling rethrow.
+  void init();
+  void begin_interval();
   /// Dirty page GVAs (page-aligned, deduplicated, sorted) for the interval.
-  [[nodiscard]] virtual std::vector<Gva> collect();
-  virtual void shutdown();
+  [[nodiscard]] std::vector<Gva> collect();
+  void shutdown();
 
   /// Pages known to have been lost (ring overflow). 0 for exact techniques.
-  [[nodiscard]] virtual u64 dropped() const {
+  [[nodiscard]] u64 dropped() const {
     return fallback_ ? fallback_->dropped() : do_dropped();
   }
 
   /// True when init() fell back to a weaker technique.
   [[nodiscard]] bool degraded() const noexcept { return fallback_ != nullptr; }
   /// The technique actually doing the tracking (the fallback's when degraded).
-  [[nodiscard]] virtual Technique effective_technique() const noexcept {
+  [[nodiscard]] Technique effective_technique() const noexcept {
     return fallback_ ? fallback_->effective_technique() : technique();
   }
 
-  [[nodiscard]] virtual const Phases& phases() const noexcept {
+  [[nodiscard]] const Phases& phases() const noexcept {
     return fallback_ ? fallback_->phases() : phases_;
   }
   [[nodiscard]] guest::Process& process() noexcept { return proc_; }

@@ -5,7 +5,6 @@
 
 #include "base/clock.hpp"
 #include "guest/ooh_module.hpp"
-#include "ooh/adaptive/adaptive_tracker.hpp"
 #include "guest/procfs.hpp"
 #include "guest/uffd.hpp"
 
@@ -346,8 +345,6 @@ std::unique_ptr<DirtyTracker> make_tracker(Technique t, guest::GuestKernel& kern
     case Technique::kWp: return std::make_unique<WpTracker>(kernel, proc);
     case Technique::kSeg: return std::make_unique<SegTracker>(kernel, proc);
     case Technique::kOracle: return std::make_unique<OracleTracker>(kernel, proc);
-    case Technique::kAdaptive:
-      return std::make_unique<AdaptiveTracker>(kernel, proc);
   }
   throw std::invalid_argument("unknown technique");
 }

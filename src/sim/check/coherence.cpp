@@ -620,12 +620,11 @@ void CoherenceChecker::audit_registry(hv::Vm& vm) {
 void CoherenceChecker::audit_policy_handoff(hv::Vm& vm) {
   // POL-1: write-protected EPT entries must be claimed by a live handler.
   // A wp-style tracking session clears `writable` on the pages it watches
-  // and owns a kEptWpFault notifier that services the resulting faults. A
-  // policy-driven handoff away from that backend must restore writability
-  // before the handler unregisters: an orphaned protection would make the
-  // next write to the page an *unhandled* WP fault (the dispatch throws),
-  // and the write's dirty transition would never reach the new backend —
-  // exactly the lost-page hazard the switch protocol promises away. SPP
+  // and owns a kEptWpFault notifier that services the resulting faults. Its
+  // teardown must restore writability before the handler unregisters: an
+  // orphaned protection would make the next write to the page an
+  // *unhandled* WP fault (the dispatch throws), and the write's dirty
+  // transition would never reach the next backend — a lost page. SPP
   // entries are exempt: their write mediation lives in the SPP table, not
   // a notifier chain.
   for (unsigned cpu = 0; cpu < vm.vcpu_count(); ++cpu) {

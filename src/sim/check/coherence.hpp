@@ -43,12 +43,12 @@
 //   REG-*    notifier registry: no null or duplicate registrations, the
 //            permanent hardware circuits head their chains, per-consumer
 //            delivery counts never exceed the layer dispatch count.
-//   POL-1    policy-driven backend handoff: when no kEptWpFault handler is
-//            registered on any vCPU chain (no write-protection session is
-//            live), no present EPT entry may remain write-protected with
-//            its SPP bit clear — an orphaned protection left behind by a
-//            backend switch would turn the next write into an unhandled
-//            WP fault (and its dirty transition would never be observed).
+//   POL-1    backend handoff: when no kEptWpFault handler is registered
+//            on any vCPU chain (no write-protection session is live), no
+//            present EPT entry may remain write-protected with its SPP bit
+//            clear — an orphaned protection left behind by a wp teardown
+//            would turn the next write into an unhandled WP fault (and its
+//            dirty transition would never be observed).
 //
 // The oracle only reads machine state and charges zero virtual time, so
 // enabling it cannot perturb any figure output. Auto-auditing (TestBed,

@@ -357,6 +357,37 @@ TEST(FaultInjection, DegradationChainsEpmlToSpmlToProc) {
   bed.audit();
 }
 
+TEST(FaultInjection, InitPhaseCoversFailedAttemptsOfADegradedTracker) {
+  // phases().init must equal the virtual time init() took. A degraded
+  // tracker reports its fallback's phases, so the failed backends' attempts
+  // (for EPML: the track ioctl, its world switches, the init hypercall and
+  // the rollback) must be counted there too.
+  const auto init_account = [](const FaultPlan& plan, Technique effective) {
+    TestBedOptions o;
+    o.fault_plan = plan;
+    TestBed bed(o);
+    guest::GuestKernel& k = bed.kernel();
+    guest::Process& proc = k.create_process();
+    (void)proc.mmap(64 * kPageSize);  // no writes: they would take the faults
+    auto tracker = make_tracker(Technique::kEpml, k, proc);
+    const VirtDuration before = bed.ctx().clock.now();
+    tracker->init();
+    const VirtDuration took = bed.ctx().clock.now() - before;
+    EXPECT_EQ(tracker->effective_technique(), effective);
+    EXPECT_GT(took.count(), 0.0);
+    EXPECT_NEAR(tracker->phases().init.count(), took.count(), 1e-6)
+        << "init() advanced the clock by " << took.count() << " us";
+    tracker->shutdown();
+    bed.audit();
+  };
+  init_account(FaultPlan{}, Technique::kEpml);
+
+  FaultPlan chain;  // as in DegradationChainsEpmlToSpmlToProc
+  chain.add({FaultPoint::kGpaAllocFail, /*first=*/0, /*every=*/0, /*limit=*/1});
+  chain.add({FaultPoint::kFrameAllocFail, /*first=*/0, /*every=*/0, /*limit=*/1});
+  init_account(chain, Technique::kProc);
+}
+
 // ---- migration transfer faults ----------------------------------------------
 
 TEST(FaultInjection, MigrationSendRetriesWithBackoffThenSucceeds) {

@@ -11,6 +11,7 @@
 #include "ooh/testbed.hpp"
 #include "guest/ooh_module.hpp"
 #include "ooh/trackers.hpp"
+#include "sim/check/coherence.hpp"
 #include "technique_label.hpp"
 
 namespace ooh::lib {
@@ -281,6 +282,43 @@ TEST(TrackerScope, SpmlAndEpmlRequireTheirModuleMode) {
   epml->init();
   EXPECT_EQ(k.ooh_module()->mode(), guest::OohMode::kEpml);
   epml->shutdown();
+}
+
+// Backends hand off on one process without losing pages: EPML, then wp, then
+// EPML again, each a whole init/collect/shutdown session. Each session's
+// first interval rewrites pages every earlier session saw dirty (a stale
+// dirty flag or protection would hide them); its second writes fresh pages.
+TEST(TrackerHandoff, BackToBackSessionsOnOneProcessLoseNoPages) {
+  TestBed bed;
+  guest::GuestKernel& k = bed.kernel();
+  guest::Process& proc = k.create_process();
+  const Gva base = proc.mmap(64 * kPageSize);
+  for (u64 i = 0; i < 64; ++i) proc.touch_write(base + i * kPageSize);
+  check::CoherenceChecker checker(bed.machine(), bed.hypervisor());
+
+  u64 fresh = 16;
+  for (const Technique t : {Technique::kEpml, Technique::kWp, Technique::kEpml}) {
+    auto tracker = make_tracker(t, k, proc);
+    tracker->init();
+    for (const u64 first : {u64{0}, fresh}) {
+      tracker->begin_interval();
+      std::vector<Gva> expect;
+      k.scheduler().enter_process(proc.pid());
+      for (u64 i = first; i < first + 16; ++i) {
+        proc.touch_write(base + i * kPageSize);
+        expect.push_back(base + i * kPageSize);
+      }
+      k.scheduler().exit_process(proc.pid());
+      EXPECT_EQ(tracker->collect(), expect)
+          << technique_name(t) << " session, interval from page " << first;
+    }
+    fresh += 16;
+    EXPECT_EQ(tracker->dropped(), 0u);
+    tracker->shutdown();
+    // POL-1: no write protection outlives the wp session's handler.
+    EXPECT_NO_THROW(checker.audit_policy_handoff(bed.vm())) << technique_name(t);
+    bed.audit();
+  }
 }
 
 TEST(TrackerNames, AreStable) {

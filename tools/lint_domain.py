@@ -13,6 +13,9 @@ extend the whitelist in the same change that documents the new invariant
 Scans src/ only — tests deliberately corrupt state to exercise the oracle,
 and bench/ is read-only by construction.
 
+An allowlisted path that does not exist is itself a violation, so deleting
+a file cannot leave a stale exemption behind.
+
 Exit status: 0 clean, 1 violations (one per line: path:lineno: rule: text).
 """
 
@@ -135,7 +138,6 @@ RULES: list[Rule] = [
             "src/hypervisor/hypervisor.cpp",
             "src/guest/kernel.cpp",
             "src/ooh/trackers.cpp",
-            "src/ooh/adaptive/adaptive_tracker.cpp",
         ],
         "Page-track consumers may only (un)register through the subsystems "
         "the registry audit knows about; others corrupt chain-order "
@@ -271,6 +273,11 @@ def main(argv: list[str]) -> int:
         return 2
 
     report = Report()
+    for r in RULES:
+        for rel in sorted(r.allowed):
+            if not (args.root / rel).is_file():
+                report.violations.append(
+                    f"{rel}: [{r.name}] allowlisted path does not exist")
     for path in sorted(src.rglob("*")):
         if path.suffix not in {".cpp", ".hpp"}:
             continue
